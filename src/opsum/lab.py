@@ -187,8 +187,8 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
                 best_resid = cur
                 best_factors = [(A[j].copy(), B[j].copy()) for j in range(config.m)]
             history.append(best_resid)
-            assert len(history) < 2 or history[-1] <= history[-2], \
-                "residual history must be non-increasing"
+            if len(history) >= 2 and not history[-1] <= history[-2]:
+                raise RuntimeError("residual history must be non-increasing")
             if best_resid <= config.target_residual:
                 break
             since_improve = since_improve + 1 if cur > prev - config.stall_rtol * max(1.0, prev) else 0
@@ -197,8 +197,9 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
         if best_resid <= config.target_residual:
             break
 
-    assert best_resid >= floor - 1e-6, \
-        f"optimizer beat the analytic floor: {best_resid} < {floor}"
+    if not best_resid >= floor - 1e-6:
+        raise RuntimeError(
+            f"optimizer beat the analytic floor: {best_resid} < {floor}")
     return OptimizationTrace(
         residual_history=np.asarray(history),
         final_factors=best_factors,

@@ -11,7 +11,10 @@ Three solvers live here:
   commutator has zero trace, and conversely every trace-zero matrix is a
   commutator; the construction first conjugates the target to zero diagonal
   (:func:`zero_diagonalize`), then reads Y off entrywise against a fixed
-  diagonal X with unit gaps.
+  diagonal X with unit gaps.  The zero-diagonalization works on the
+  target's own diagonal, whose convex hull contains 0 because the trace is
+  zero: each step zeroes one entry with a 2x2 or 3x3 unitary rotation of
+  O(n) cost, so the whole pass is O(n^2) and needs no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -268,92 +271,30 @@ def _plane_target(M: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     return x / np.linalg.norm(x)
 
 
-def _segment_distance(p: complex, a: complex, b: complex) -> float:
-    """Distance from point p to the segment [a, b] in the complex plane."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
+def _hull_indices(diag: np.ndarray, act: np.ndarray, i: int):
+    """Active indices whose diagonal entries put 0 within reach of diag[i].
 
-
-def _zero_form_unit_vector(M: np.ndarray) -> np.ndarray:
-    """Unit v with v* M v ~ 0 for a (near) trace-zero matrix M.
-
-    The mean of the eigenvalues is the trace over n, so zero lies in the
-    convex hull of the spectrum and hence in the numerical range.  The
-    vector is located by walking Rayleigh paths: either an eigenvalue is
-    already ~0, or zero sits on a segment between two eigenvalues, or inside
-    a triangle of three; segments reduce to the closed-form plane solve and
-    triangles to two nested plane solves.  All screening thresholds are
-    relative to the spectral scale so tiny-norm blocks behave like unit-norm
-    ones.
+    With u the direction of -diag[i], j and k are the angular neighbours of
+    the ray {t u : t >= 0} on either side, found in one O(m) pass.  Returns
+    ``([i, j, k], p)`` when 0 lies in the triangle of their entries, p being
+    the point where the ray crosses [diag[j], diag[k]], and ``([i, j], None)``
+    when 0 lies on the segment [diag[i], diag[j]] (j on the ray, a single
+    other index, or a numerically collinear diagonal).
     """
-    m = M.shape[0]
-    if m == 1:
-        return np.ones(1, dtype=complex)
-
-    w, V = np.linalg.eig(M)
-    wscale = float(np.max(np.abs(w)))
-    i0 = int(np.argmin(np.abs(w)))
-    if wscale <= 1e-13 * max(1.0, frob(M)) or abs(w[i0]) <= 1e-11 * wscale:
-        # whole spectrum negligible, or one eigenvalue already sits at zero
-        v = V[:, i0]
-        return v / np.linalg.norm(v)
-    tiny = 1e-13 * wscale
-
-    # best segment through the origin
-    best_pair, best_seg = None, math.inf
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = _segment_distance(0.0, complex(w[i]), complex(w[j]))
-            if d < best_seg:
-                best_seg, best_pair = d, (i, j)
-    if best_seg <= 1e-12 * wscale:
-        i, j = best_pair
-        return _plane_target(M, V[:, i], V[:, j], 0.0, tiny)
-
-    # best triangle containing the origin (inside-ness by signed areas)
-    best_triple, best_margin = None, -math.inf
-    for i in range(m):
-        zi = complex(w[i])
-        for j in range(i + 1, m):
-            zj = complex(w[j])
-            for k in range(j + 1, m):
-                zk = complex(w[k])
-                area = (zj - zi).real * (zk - zi).imag - (zj - zi).imag * (zk - zi).real
-                if abs(area) <= 1e-14 * wscale * wscale:
-                    continue
-                s1 = (zj - zi).real * (-zi).imag - (zj - zi).imag * (-zi).real
-                s2 = (zk - zj).real * (-zj).imag - (zk - zj).imag * (-zj).real
-                s3 = (zi - zk).real * (-zk).imag - (zi - zk).imag * (-zk).real
-                margin = min(s1 / area, s2 / area, s3 / area)
-                if margin > best_margin:
-                    best_margin, best_triple = margin, (i, j, k)
-
-    if best_triple is None:
-        # numerically collinear spectrum: fall back to the closest segment
-        i, j = best_pair
-        return _plane_target(M, V[:, i], V[:, j], 0.0, tiny)
-
-    i, j, k = best_triple
-    zi, zj, zk = complex(w[i]), complex(w[j]), complex(w[k])
-    # cevian from zk through 0 meets the segment [zi, zj] at p = -t zk:
-    # solve zi + s (zj - zi) + t zk = 0 for real s, t
-    mat = np.array([[(zj - zi).real, zk.real],
-                    [(zj - zi).imag, zk.imag]])
-    rhs = np.array([-zi.real, -zi.imag])
-    try:
-        s, _t = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        s = 0.5
-    s = min(1.0, max(0.0, float(s)))
-    p = zi + s * (zj - zi)
-    x1 = _plane_target(M, V[:, i], V[:, j], p, tiny)
-    # zero lies on the segment between the achieved value and the third vertex
-    return _plane_target(M, x1, V[:, k], 0.0, tiny)
+    others = act[act != i]
+    u = -diag[i] / abs(diag[i])
+    rot = diag[others] * np.conj(u)   # the ray now points along +1
+    phi = np.angle(rot)
+    up = np.where(phi >= 0.0, phi, np.inf)
+    down = np.where(phi < 0.0, phi, -np.inf)
+    a, b = int(np.argmin(up)), int(np.argmax(down))
+    if 0.0 < up[a] < np.pi and -np.pi < down[b]:   # both strictly off the line
+        s = rot[a].imag / (rot[a].imag - rot[b].imag)
+        p = rot[a] + s * (rot[b] - rot[a])
+        if p.real >= 0.0:
+            return [i, int(others[a]), int(others[b])], complex(p * u)
+    j = a if up[a] <= -down[b] else b
+    return [i, int(others[j])], None
 
 
 def _householder_with_first_column(v: np.ndarray) -> np.ndarray:
@@ -374,11 +315,16 @@ def zero_diagonalize(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG):
     """Similarity (in fact unitary) conjugation of a trace-zero matrix to zero diagonal.
 
     Returns ``(R, Z)`` with Z = R @ T0 @ R^-1, R unitary, and every diagonal
-    entry of Z below ``config.diagonal_tol * max(1, ||T0||_F)``.  At each
-    recursion level a unit vector with vanishing quadratic form is found on
-    the numerical range (it exists because the trace, hence the eigenvalue
-    centroid, is zero) and extended to an orthonormal basis; the trailing
-    block inherits a zero trace and is processed recursively.
+    entry of Z below ``config.diagonal_tol * max(1, ||T0||_F)``.
+
+    The diagonal entries are the Rayleigh values of the basis vectors and
+    sum to the trace, so 0 lies in their convex hull (Fillmore 1969).  Each
+    step takes the largest remaining entry d_i and one or two neighbours
+    whose entries put 0 on a segment or in a triangle with d_i, finds a unit
+    vector with vanishing quadratic form on that 2x2 or 3x3 compression by
+    closed-form plane solves, and rotates only those rows and columns.
+    Entry i is then zero and never touched again, so each step costs O(n)
+    and the whole pass O(n^2).
 
     Raises
     ------
@@ -398,16 +344,27 @@ def zero_diagonalize(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG):
 
     M = A.copy()
     U = np.eye(n, dtype=complex)
-    for d in range(n - 1):
-        block = M[d:, d:]
-        if np.max(np.abs(np.diagonal(block))) <= diag_bound:
+    active = np.ones(n, dtype=bool)
+    tiny = 1e-13 * frob(A)   # plane-solve screening, relative to the matrix scale
+    for _ in range(n - 1):
+        act = np.flatnonzero(active)
+        diag = np.diagonal(M)
+        i = int(act[np.argmax(np.abs(diag[act]))])
+        if abs(diag[i]) <= diag_bound:
             break
-        v = _zero_form_unit_vector(block)
+        idx, p = _hull_indices(diag, act, i)
+        C = M[np.ix_(idx, idx)]
+        if p is None:
+            v = _zero_form_vector_2x2(C, tiny)
+        else:
+            e = np.eye(3)
+            x1 = _plane_target(C, e[:, 1], e[:, 2], p, tiny)
+            v = _plane_target(C, x1, e[:, 0], 0.0, tiny)
         Q = _householder_with_first_column(v)
-        M[d:, d:] = Q.conj().T @ block @ Q
-        M[:d, d:] = M[:d, d:] @ Q
-        M[d:, :d] = Q.conj().T @ M[d:, :d]
-        U[:, d:] = U[:, d:] @ Q
+        M[idx, :] = Q.conj().T @ M[idx, :]
+        M[:, idx] = M[:, idx] @ Q
+        U[:, idx] = U[:, idx] @ Q
+        active[i] = False
 
     worst = float(np.max(np.abs(np.diagonal(M))))
     if worst > diag_bound:
@@ -451,7 +408,7 @@ def commutator_solve(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> Commut
     np.fill_diagonal(Yz, 0.0)
     Xz = np.diag(x).astype(complex)
 
-    Rinv = np.linalg.inv(R)
+    Rinv = R.conj().T   # R is unitary
     X = Rinv @ Xz @ R
     Y = Rinv @ Yz @ R
     residual = frob(X @ Y - Y @ X - A)

@@ -118,6 +118,14 @@ def test_four_summands_random_family(rng):
             assert result.diagnostics["block_identity_residual"] <= 1e-8 * max(1.0, frob(T))
 
 
+def test_four_summands_n256(rng):
+    T = random_real_trace(rng, 256, trace=256.0)
+    result = four_summands(T)
+    report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=2,
+                                  min_pairwise_gap=1e-3)
+    assert report.passed, report.failures()
+
+
 def test_four_summands_two_point_mode(rng):
     T = random_real_trace(rng, 8, trace=6.0)
     result = four_summands(T, FourSummandParams(a1_mode="two-point"))

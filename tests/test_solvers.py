@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -131,19 +133,83 @@ def test_zero_diagonalize_diag_pm1():
     assert frob(R @ T0 @ np.linalg.inv(R) - Z) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 11, 16])
+def assert_zero_diagonal(T0, R, Z):
+    k = T0.shape[0]
+    scale = max(1.0, frob(T0))
+    assert np.max(np.abs(np.diagonal(Z))) <= 1e-10 * scale
+    assert frob(R @ T0 @ np.linalg.inv(R) - Z) <= 1e-10 * scale
+    assert frob(R @ R.conj().T - np.eye(k)) <= 1e-12 * k
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 16, 64, 128, 256])
 def test_zero_diagonalize_random(rng, n):
     for _ in range(10):
         T0 = random_trace_zero(rng, n)
-        scale = max(1.0, frob(T0))
-        R, Z = zero_diagonalize(T0)
-        assert np.max(np.abs(np.diagonal(Z))) <= 1e-10 * scale
-        assert frob(R @ T0 @ np.linalg.inv(R) - Z) <= 1e-10 * scale
+        assert_zero_diagonal(T0, *zero_diagonalize(T0))
 
 
 def test_zero_diagonalize_rejects_trace():
     with pytest.raises(NonzeroTraceError):
         zero_diagonalize(np.eye(3))
+
+
+def _structured_trace_zero(rng, kind, n):
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        M = G + G.conj().T
+    elif kind == "real":
+        M = G.real
+    elif kind == "skew-hermitian":
+        M = G - G.conj().T
+    elif kind == "nilpotent":
+        return np.triu(G, 1)
+    elif kind == "rank-one":
+        M = np.outer(G[:, 0], G[0, :])
+    elif kind == "collinear-diagonal":
+        d = -np.ones(n)
+        d[0] = n - 1
+        return np.diag(d)
+    elif kind == "norm-1e-9":
+        return 1e-9 * random_trace_zero(rng, n)
+    elif kind == "norm-1e6":
+        return 1e6 * random_trace_zero(rng, n)
+    return M - (np.trace(M) / n) * np.eye(n)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "real", "skew-hermitian", "nilpotent",
+                                  "rank-one", "collinear-diagonal", "norm-1e-9",
+                                  "norm-1e6"])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 12, 33])
+def test_zero_diagonalize_structured(rng, kind, n):
+    T0 = _structured_trace_zero(rng, kind, n)
+    assert_zero_diagonal(T0, *zero_diagonalize(T0))
+
+
+def test_zero_diagonalize_noisy_collinear_diagonal(rng):
+    # real diagonals with rounding-size imaginary parts of either sign: the
+    # nearest entries to the ray through -d_i may sit on either side of it,
+    # or only behind d_i
+    for _ in range(100):
+        n = int(rng.integers(3, 9))
+        d = rng.standard_normal(n)
+        T0 = np.diag(d - d.mean() + 1e-16j * rng.choice([-1.0, 1.0], size=n))
+        assert_zero_diagonal(T0, *zero_diagonalize(T0))
+
+
+def test_zero_diagonalize_deterministic(rng):
+    T0 = random_trace_zero(rng, 40)
+    R1, Z1 = zero_diagonalize(T0)
+    R2, Z2 = zero_diagonalize(T0)
+    assert np.array_equal(R1, R2) and np.array_equal(Z1, Z2)
+
+
+def test_zero_diagonalize_k256_runtime_cap(rng):
+    cap = 5.0
+    T0 = random_trace_zero(rng, 256)
+    start = time.perf_counter()
+    zero_diagonalize(T0)
+    elapsed = time.perf_counter() - start
+    assert elapsed < cap, f"k = 256 took {elapsed:.2f}s, cap {cap}s"
 
 
 # --- commutator -------------------------------------------------------------
