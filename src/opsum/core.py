@@ -169,12 +169,21 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
     eigenvalue of its Hermitian part is at least ``-tol * ||M||``.
     """
     A = as_square_matrix(M)
-    scale = op_norm(A)
+    return _psd_test(A, tol, op_norm(A))
+
+
+def _psd_test(A: np.ndarray, tol: float, scale: float, lam_min: float | None = None) -> bool:
+    """The PSD verdict of :func:`is_psd` given ``scale = ||A||``.
+
+    ``lam_min``, the smallest eigenvalue of the Hermitian part, is computed
+    here only when the Hermitian test passes and the caller does not have it.
+    """
     if scale == 0.0:
         return True
     if op_norm(A - A.conj().T) > tol * scale:
         return False
-    lam_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
+    if lam_min is None:
+        lam_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
     return lam_min >= -tol * scale
 
 
@@ -288,7 +297,7 @@ def positivity_certificate(
     gap = _pairwise_gap(w)
     maxdist = float(np.max(dist_to_rplus(w)))
 
-    if is_psd(A, tol):
+    if _psd_test(A, tol, scale, min_eig):
         d, V = np.linalg.eigh(hermitian_part(A))
         resid = op_norm(V @ np.diag(np.maximum(d, 0.0)) @ V.conj().T - A)
         return PsdCertificate(

@@ -27,9 +27,14 @@ Pipelines
   x_1 and y_2.  The free parameters are auto-tuned from trace(T) so every
   real positive trace is feasible.
 * :func:`three_summands` and :func:`two_summands` are best-effort: shortcut
-  splits when the target is already (similar to) PSD, a constructive
-  three-term path on block-preprocessed targets when its PSD requirement
-  happens to hold, and an optimizer-backed search otherwise.
+  splits when the target is already (similar to) PSD, and an
+  optimizer-backed search otherwise.  In between, :func:`three_summands`
+  tries one constructive three-term path: it brings an even-dimensional
+  target to the block form [[A', B'], [C', 0]] with B' invertible and
+  succeeds when A' is diagonalizable with spectrum in (0, inf).
+
+Every pipeline builds its result in one place, which reads each summand's
+spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .core import (
     is_similar_to_positive,
     op_norm,
     positivity_certificate,
-    sorted_eigenvalues,
 )
 from .lab import OptimizationConfig, optimize_sum_of_products, psd_project
 from .randmat import random_unitary
@@ -165,12 +169,7 @@ def _zero_result(n: int, m: int, method: str) -> DecompositionResult:
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
     summands = tuple(make_summand(eye, zero) for _ in range(m))
-    return DecompositionResult(
-        summands=summands, reconstruction_residual=0.0,
-        spectra_point_counts=tuple(1 for _ in range(m)),
-        pairwise_spectra_gap=0.0,
-        product_form=tuple((eye.copy(), zero.copy()) for _ in range(m)),
-        method=method, diagnostics={"note": "zero target"})
+    return _finish(zero, summands, method, {"note": "zero target"})
 
 
 def _distinct_points(values, resolution) -> int:
@@ -181,10 +180,9 @@ def _distinct_points(values, resolution) -> int:
     return len(pts)
 
 
-def _summand_statistics(summands, scale) -> tuple[tuple, float]:
+def _summand_statistics(spectra, scale) -> tuple[tuple, float]:
     """Distinct spectrum sizes per summand and the min cross-summand gap."""
     res = 1e-7 * max(1.0, scale)
-    spectra = [np.linalg.eigvals(s.value) for s in summands]
     counts = tuple(_distinct_points(w, res) for w in spectra)
     gap = math.inf
     for i in range(len(spectra)):
@@ -204,7 +202,11 @@ def to_positive_product(S, P, cond_cap: float = 1e12):
     """
     S = as_square_matrix(S, "S")
     P = as_square_matrix(P, "P")
-    cond = float(np.linalg.cond(S))
+    return _positive_product(S, P, float(np.linalg.cond(S)), cond_cap)
+
+
+def _positive_product(S, P, cond: float, cond_cap: float = 1e12):
+    """:func:`to_positive_product` with cond(S) already known."""
     if not np.isfinite(cond) or cond > cond_cap:
         raise ValueError(f"S is numerically singular (cond {cond:.3e})")
     if not is_psd(P):
@@ -215,8 +217,23 @@ def to_positive_product(S, P, cond_cap: float = 1e12):
     return (A + A.conj().T) / 2.0, (B + B.conj().T) / 2.0
 
 
-def _product_form(summands) -> tuple:
-    return tuple(to_positive_product(s.S, s.P) for s in summands)
+def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
+    """Residual, spectrum statistics and product form of finished summands.
+
+    Each value S P S^-1 has the spectrum of its Hermitian PSD middle P, so
+    the statistics read the spectra off P; the product form reuses the
+    cached cond(S) of every summand.
+    """
+    summands = tuple(summands)
+    residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
+    counts, gap = _summand_statistics(
+        [np.linalg.eigvalsh(s.P) for s in summands], op_norm(T))
+    return DecompositionResult(
+        summands=summands, reconstruction_residual=float(residual),
+        spectra_point_counts=counts, pairwise_spectra_gap=gap,
+        product_form=tuple(_positive_product(s.S, s.P, s.condition_number)
+                           for s in summands),
+        method=method, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +424,13 @@ def four_summands(
         make_summand(two_block(eye, x4, y4, eye + y4 @ x4),
                      np.diag(np.concatenate([np.full(k, a[2]), np.full(k, b[2])])).astype(complex)),
     )
-    residual = frob(sum(s.value for s in summands) - A_full) / frob(A_full)
-    counts, gap_measured = _summand_statistics(summands, op_norm(A_full))
-    return DecompositionResult(
-        summands=summands,
-        reconstruction_residual=float(residual),
-        spectra_point_counts=counts,
-        pairwise_spectra_gap=gap_measured,
-        product_form=_product_form(summands),
-        method="four-term",
-        diagnostics={
-            "delta": delta, "beta": beta, "trace_a1": tr_a1,
-            "b_weights": tuple(float(w) for w in weights),
-            "sep_margin": sep_goal,
-            "block_identity_residual": float(block_identity),
-            "commutator_residual": comm.residual,
-        },
-    )
+    return _finish(A_full, summands, "four-term", {
+        "delta": delta, "beta": beta, "trace_a1": tr_a1,
+        "b_weights": tuple(float(w) for w in weights),
+        "sep_margin": sep_goal,
+        "block_identity_residual": float(block_identity),
+        "commutator_residual": comm.residual,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +450,31 @@ class DecompConfig:
     constructive_tol: float = 1e-6
 
 
-def _split_equal(cert, m: int) -> tuple:
-    """m equal summands from a similarity witness; V is always present for
-    the similarity kinds."""
-    V = cert.witness
-    d = np.maximum(np.real(np.linalg.inv(V) @ cert.subject @ V).diagonal(), 0.0)
-    return tuple(make_summand(V, np.diag(d / m).astype(complex)) for _ in range(m))
+def _shortcut(A, m: int):
+    """Certificate or result for targets that need no construction, else None.
 
-
-def _shortcut_result(T, cert, m, scale) -> DecompositionResult:
-    summands = _split_equal(cert, m)
-    residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
-    counts, gap = _summand_statistics(summands, scale)
-    return DecompositionResult(
-        summands=summands, reconstruction_residual=float(residual),
-        spectra_point_counts=counts, pairwise_spectra_gap=gap,
-        product_form=_product_form(summands), method="shortcut",
-        diagnostics={"note": f"target already {cert.kind}; split into {m} equal parts"},
-    )
+    Trace obstructions and the zero target come first.  A target similar to
+    positive, V^-1 A V = diag(d), splits inside the witness basis V: into
+    (d - min d) + min d for m = 2, into m equal parts otherwise.
+    """
+    cert = check_obstruction(A)
+    if cert is not None:
+        return cert
+    if frob(A) == 0.0:
+        return _zero_result(A.shape[0], m, "shortcut")
+    pc = positivity_certificate(A)
+    if not is_similar_to_positive(pc):
+        return None
+    V = pc.witness
+    d = np.maximum(np.real(np.linalg.inv(V) @ A @ V).diagonal(), 0.0)
+    if m == 2:
+        middles = (d - d.min(), np.full_like(d, d.min()))
+        note = "smallest-eigenvalue split of a positive-like target"
+    else:
+        middles = (d / m,) * m
+        note = f"target already {pc.kind}; split into {m} equal parts"
+    summands = [make_summand(V, np.diag(p).astype(complex)) for p in middles]
+    return _finish(A, summands, "shortcut", {"note": note})
 
 
 def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
@@ -476,19 +490,11 @@ def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
         S = (U * np.sqrt(np.maximum(d, 0.0) + eps)) @ U.conj().T
         P = psd_project(S @ B @ S)
         summands.append(make_summand(S, P))
-    summands = tuple(summands)
-    residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
-    counts, gap = _summand_statistics(summands, op_norm(T))
-    return DecompositionResult(
-        summands=summands, reconstruction_residual=float(residual),
-        spectra_point_counts=counts, pairwise_spectra_gap=gap,
-        product_form=_product_form(summands), method="search",
-        diagnostics={
-            "best_residual_absolute": trace.best_residual,
-            "bound_floor": trace.bound_floor,
-            "iterations_recorded": int(len(trace.residual_history)),
-        },
-    )
+    return _finish(T, summands, "search", {
+        "best_residual_absolute": trace.best_residual,
+        "bound_floor": trace.bound_floor,
+        "iterations_recorded": int(len(trace.residual_history)),
+    })
 
 
 def _preprocess_block_form(T, config: DecompConfig):
@@ -562,17 +568,10 @@ def _assemble_three(state: ThreeTermState, T, config):
         S_j = np.block([[u_j, x_j], [y_j, z_j]])
         P_j = np.block([[state.a[j], zero], [zero, state.b[j]]])
         summands.append(make_summand(Winv @ S_j, P_j))
-    summands = tuple(summands)
-    residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
-    if residual > config.constructive_tol:
+    if frob(sum(s.value for s in summands) - T) / frob(T) > config.constructive_tol:
         return None
-    counts, gap = _summand_statistics(summands, op_norm(T))
-    return DecompositionResult(
-        summands=summands, reconstruction_residual=float(residual),
-        spectra_point_counts=counts, pairwise_spectra_gap=gap,
-        product_form=_product_form(summands), method="constructive",
-        diagnostics={"note": "block-triangular three-term construction"},
-    )
+    return _finish(T, summands, "constructive",
+                   {"note": "block-triangular three-term construction"})
 
 
 def _constructive_three(T, config: DecompConfig):
@@ -633,62 +632,6 @@ def _constructive_three(T, config: DecompConfig):
     return _assemble_three(state, T, config)
 
 
-def _constructive_three_inner_split(T, config: DecompConfig):
-    """Four-split based c-choice; fires only when the similarity-conjugated
-    special summand happens to be PSD, which the block structure does not
-    guarantee in finite dimension."""
-    pre = _preprocess_block_form(T, config)
-    if pre is None:
-        return None
-    W, Ap, Bp, Cp = pre
-    k = Bp.shape[0]
-    if k % 2 != 0:
-        return None
-    eye = np.eye(k, dtype=complex)
-    try:
-        inner = four_summands(Ap)
-    except (ValueError, RuntimeError):
-        return None
-    if isinstance(inner, ObstructionCertificate):
-        return None
-
-    special = inner.summands[0]
-    Bp_inv = np.linalg.inv(Bp)
-    b_full = Bp_inv @ special.value @ Bp
-    if not is_psd(b_full, 1e-8):
-        return None
-    b_full = psd_project(b_full)
-
-    c_parts = inner.summands[1:4]
-    weights = np.array([0.25, 0.35, 0.40])
-    b_eigs = np.linalg.eigvalsh((b_full + b_full.conj().T) / 2.0)
-    for attempt in range(20):
-        ok = True
-        for j in range(2):
-            c_spec = np.linalg.eigvals(c_parts[j].value)
-            if np.abs(c_spec[:, None] - weights[j] * b_eigs[None, :]).min() < config.sep_margin / 4.0:
-                ok = False
-        if ok:
-            break
-        weights = _nudge_weights(np.array([0.25, 0.35, 0.40]), attempt + 1)
-    else:
-        return None
-
-    c_list = tuple(p.value for p in c_parts)
-    b_list = tuple(weights[j] * b_full for j in range(3))
-    v = -Bp_inv @ special.value
-    rhs = Cp - v @ (Ap - c_list[2]) - b_list[2] @ v - v @ Bp @ v
-    try:
-        w_mat = sylvester_solve(b_list[0], c_list[0], rhs)
-    except ValueError:
-        return None
-    state = ThreeTermState(c=c_list, b=b_list,
-                           u=tuple(p.S for p in c_parts),
-                           a=tuple(p.P for p in c_parts),
-                           v=v, w=w_mat, upper_right=Bp, preproc_similarity=W)
-    return _assemble_three(state, T, config)
-
-
 def three_summands(T, config: DecompConfig | None = None):
     """Best-effort split into three summands similar to positive matrices.
 
@@ -699,22 +642,11 @@ def three_summands(T, config: DecompConfig | None = None):
     """
     A = as_square_matrix(T)
     config = config or DecompConfig()
-    cert = check_obstruction(A)
-    if cert is not None:
-        return cert
-    if frob(A) == 0.0:
-        return _zero_result(A.shape[0], 3, "shortcut")
-
-    pc = positivity_certificate(A)
-    if is_similar_to_positive(pc):
-        return _shortcut_result(A, pc, 3, op_norm(A))
-
-    if A.shape[0] % 2 == 0:
-        for builder in (_constructive_three, _constructive_three_inner_split):
-            result = builder(A, config)
-            if result is not None:
-                return result
-
+    result = _shortcut(A, 3)
+    if result is None and A.shape[0] % 2 == 0:
+        result = _constructive_three(A, config)
+    if result is not None:
+        return result
     if not config.allow_search_fallback:
         raise RuntimeError(
             "constructive three-summand path failed and search fallback is disabled")
@@ -729,32 +661,10 @@ def two_summands(T, config: DecompConfig | None = None):
     goes to the optimizer-backed search with two product pairs.
     """
     A = as_square_matrix(T)
-    config = config or DecompConfig()
-    cert = check_obstruction(A)
-    if cert is not None:
-        return cert
-    n = A.shape[0]
-    if frob(A) == 0.0:
-        return _zero_result(n, 2, "shortcut")
-
-    pc = positivity_certificate(A)
-    if is_similar_to_positive(pc):
-        V = pc.witness
-        d = np.maximum(np.real(np.linalg.inv(V) @ A @ V).diagonal(), 0.0)
-        lam = float(d.min())
-        summands = (
-            make_summand(V, np.diag(d - lam).astype(complex)),
-            make_summand(V, (lam * np.eye(n)).astype(complex)),
-        )
-        residual = frob(sum(s.value for s in summands) - A) / max(frob(A), 1e-300)
-        counts, gap = _summand_statistics(summands, op_norm(A))
-        return DecompositionResult(
-            summands=summands, reconstruction_residual=float(residual),
-            spectra_point_counts=counts, pairwise_spectra_gap=gap,
-            product_form=_product_form(summands), method="shortcut",
-            diagnostics={"note": "smallest-eigenvalue split of a positive-like target"},
-        )
-    return _search_result(A, 2, config)
+    result = _shortcut(A, 2)
+    if result is None:
+        result = _search_result(A, 2, config or DecompConfig())
+    return result
 
 
 def sum_of_products(T, m: int, config: DecompConfig | None = None,
@@ -848,8 +758,10 @@ def verify_decomposition(
 
     sim_ok = True
     worst_kind = ""
+    spectra = []
     for i, v in enumerate(values):
         cert = positivity_certificate(v, tol=1e-8)
+        spectra.append(cert.eigenvalues)
         if not is_similar_to_positive(cert):
             sim_ok = False
             worst_kind += f"summand {i}: {cert.kind} ({cert.diagnostics}); "
@@ -872,7 +784,7 @@ def verify_decomposition(
         "A_j B_j must reproduce each summand (ratio to the cond-aware bound) "
         "with PSD factors"))
 
-    counts, gap = _summand_statistics(result.summands, op_norm(A))
+    counts, gap = _summand_statistics(spectra, op_norm(A))
     if max_spectrum_points is not None:
         worst = max(counts) if counts else 0
         checks.append(VerificationCheck(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsum import core
 from opsum.randmat import random_complex, random_invertible, random_psd, random_unitary
@@ -152,3 +153,35 @@ def test_matching_distance():
     assert core.matching_distance([1.0, 2.0], [1.1, 2.0]) == pytest.approx(0.1)
     with pytest.raises(core.ShapeError):
         core.matching_distance([1.0], [1.0, 2.0])
+
+
+def _psd_test_subject(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "non-hermitian":
+        return random_complex(rng, n)
+    G = random_complex(rng, n)
+    if kind == "hermitian":
+        return G + G.conj().T
+    if kind == "psd":
+        return random_psd(rng, n)
+    # near-PSD: smallest eigenvalue +-1e-10 at unit norm, either side of
+    # the verdict for the tolerances drawn below
+    U = random_unitary(rng, n)
+    d = rng.uniform(0.5, 1.0, size=n)
+    d[0] = 1e-10 if kind == "near-psd-above" else -1e-10
+    M = (U * d) @ U.conj().T
+    return (M + M.conj().T) / 2.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["hermitian", "psd", "near-psd-above", "near-psd-below",
+                             "non-hermitian", "zero"]),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8]))
+def test_is_psd_agrees_with_certificate(kind, n, seed, tol):
+    M = _psd_test_subject(kind, n, seed)
+    cert = core.positivity_certificate(M, tol)
+    assert core.is_psd(M, tol) == (cert.kind == "positive-semidefinite")
+    assert cert.min_eigenvalue == np.linalg.eigvalsh(core.hermitian_part(M))[0]

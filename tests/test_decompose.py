@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsum.core import frob, is_psd, is_similar_to_positive, positivity_certificate
+from opsum.core import frob, is_psd, is_similar_to_positive, op_norm, positivity_certificate
 from opsum.decompose import (
     DecompConfig,
     DecompositionResult,
@@ -124,6 +124,33 @@ def test_four_summands_n256(rng):
     report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=2,
                                   min_pairwise_gap=1e-3)
     assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("a1_mode", ["scalar", "two-point"])
+@pytest.mark.parametrize("n", [8, 64])
+def test_four_summands_statistics_match_verify(rng, n, a1_mode):
+    # the result reads spectra off the middles P; verify recomputes them from
+    # the summand values S P S^-1
+    T = random_real_trace(rng, n, trace=float(n))
+    result = four_summands(T, FourSummandParams(a1_mode=a1_mode))
+    report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=n,
+                                  min_pairwise_gap=0.0)
+    checks = {c.name: c for c in report.checks}
+    assert checks["spectrum-point-counts"].detail == \
+        f"distinct eigenvalues per summand: {result.spectra_point_counts}"
+    assert abs(checks["pairwise-spectra-gap"].measured - result.pairwise_spectra_gap) \
+        <= 1e-9 * op_norm(T)
+
+
+@pytest.mark.parametrize("split, m", [(two_summands, 2), (three_summands, 3),
+                                      (four_summands, 4)])
+def test_zero_target_statistics(split, m):
+    result = split(np.zeros((4, 4)))
+    assert result.spectra_point_counts == (1,) * m
+    assert result.pairwise_spectra_gap == 0.0
+    assert len(result.product_form) == m
+    for A, B in result.product_form:
+        assert np.array_equal(A, np.eye(4)) and np.array_equal(B, np.zeros((4, 4)))
 
 
 def test_four_summands_two_point_mode(rng):

@@ -141,11 +141,15 @@ def assert_zero_diagonal(T0, R, Z):
     assert frob(R @ R.conj().T - np.eye(k)) <= 1e-12 * k
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 11, 16, 64, 128, 256])
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 16, 19, 33, 64, 128, 256])
 def test_zero_diagonalize_random(rng, n):
     for _ in range(10):
         T0 = random_trace_zero(rng, n)
         assert_zero_diagonal(T0, *zero_diagonalize(T0))
+        # below unit norm the diagonal is still zeroed relative to ||T0||_F
+        R, Z = zero_diagonalize(1e-9 * T0)
+        assert_zero_diagonal(1e-9 * T0, R, Z)
+        assert np.max(np.abs(np.diagonal(Z))) <= 1e-12 * frob(1e-9 * T0)
 
 
 def test_zero_diagonalize_rejects_trace():
