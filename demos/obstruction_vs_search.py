@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Race the PSD product-sum search against the analytic trace bound.
 
-For a scalar target lam * I, every sum of products of PSD matrices keeps
-Frobenius distance at least dist(lam, [0, inf)) from the target.  The
-search should approach the bound from above for lam off the half line and
-hit (near) zero on it; it can never cross.
+For an n x n scalar target lam * I, every sum of products of PSD matrices
+keeps Frobenius distance at least sqrt(n) dist(lam, [0, inf)) from the
+target, and t I with t = max(Re lam, 0) attains it.  The search meets the
+bound off the half line, where it stops with a certified "floor", and hits
+(near) zero on it; it can never cross.
 """
 
 import numpy as np
@@ -12,13 +13,15 @@ import numpy as np
 from opsum import OptimizationConfig, optimize_sum_of_products, residual_lower_bound
 from opsum.randmat import planted_summand_sum
 
-print(f"{'lam':>8} {'floor':>8} {'best residual':>14}")
+n = 2
+print(f"{'lam':>8} {'sqrt(n)*dist':>13} {'best residual':>14} {'stop':>7}")
 for lam in (2.0, 0.0, -0.5, -1.0, 1j, -1 + 1j):
-    floor = residual_lower_bound(lam)
+    floor = np.sqrt(n) * residual_lower_bound(lam)
     trace = optimize_sum_of_products(
-        complex(lam) * np.eye(2),
+        complex(lam) * np.eye(n),
         OptimizationConfig(m=2, max_iterations=400, restarts=6, seed=5))
-    print(f"{str(lam):>8} {floor:>8.4f} {trace.best_residual:>14.6f}")
+    print(f"{str(lam):>8} {floor:>13.6f} {trace.best_residual:>14.6f} "
+          f"{trace.stop_reason:>7}")
 
 print()
 print("=== planted recovery: targets built from two similarity summands ===")

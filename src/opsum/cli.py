@@ -189,6 +189,7 @@ def _cmd_optimize(args) -> int:
         "best_residual": trace.best_residual,
         "bound_floor": trace.bound_floor,
         "iterations_recorded": int(len(trace.residual_history)),
+        "stop_reason": trace.stop_reason,
         "factors": [
             {"A": serialize.matrix_to_dict(a), "B": serialize.matrix_to_dict(b)}
             for a, b in trace.final_factors],

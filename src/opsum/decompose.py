@@ -494,6 +494,7 @@ def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
         "best_residual_absolute": trace.best_residual,
         "bound_floor": trace.bound_floor,
         "iterations_recorded": int(len(trace.residual_history)),
+        "stop_reason": trace.stop_reason,
     })
 
 

@@ -45,13 +45,16 @@ def psd_project(M) -> np.ndarray:
 def residual_lower_bound(lam) -> float:
     """Lower bound on || sum_j A_j B_j - lam I || over PSD factors A_j, B_j.
 
+    The value returned is the operator-norm bound dist(lam, R+).
     Derivation: for PSD A and B, trace(A B) = trace(A^(1/2) B A^(1/2)) >= 0,
     so any sum S of such products has real nonnegative trace.  For an n x n
-    target, |trace(S - lam I)| = |trace(S) - n lam| >= n dist(lam, R+), and
-    since |trace(M)| <= n ||M|| for both the operator and the (larger)
-    Frobenius norm, ||S - lam I|| >= dist(lam, R+) in either norm.  The
-    bound is attained (up to the sqrt(n) Frobenius factor) by S = t I with
-    t = max(Re lam, 0).
+    target, |trace(S - lam I)| = |trace(S) - n lam| >= n dist(lam, R+).
+    Since |trace(M)| <= n ||M||, the operator norm gives
+    ||S - lam I|| >= dist(lam, R+); since |trace(M)| <= sqrt(n) ||M||_F, the
+    Frobenius norm gives ||S - lam I||_F >= sqrt(n) dist(lam, R+).  Both are
+    attained by S = t I with t = max(Re lam, 0), so sqrt(n) times this value
+    is exactly the Frobenius optimum that
+    :func:`optimize_sum_of_products` certifies and stops at.
     """
     return dist_to_rplus(complex(lam))
 
@@ -64,7 +67,10 @@ class OptimizationConfig:
     until the residual does not increase) or ``"fixed"`` (full step, kept
     only if not worse).  Either way the recorded residual history is
     non-increasing.  ``stall_iterations`` breaks off a restart early when
-    the residual has stopped improving.
+    the residual has stopped improving.  The run ends once the best residual
+    is at most ``target_residual`` or, for a scalar target lam * I off
+    [0, inf), within a relative 1e-12 of the exact Frobenius optimum
+    sqrt(n) dist(lam, R+), which no further iteration can improve.
     """
 
     m: int = 2
@@ -90,14 +96,20 @@ class OptimizationTrace:
 
     ``residual_history`` holds the best absolute Frobenius residual seen up
     to each recorded iteration (monotone non-increasing across the whole
-    run, restarts included).  ``bound_floor`` is the analytic lower bound
-    when the target is a scalar matrix, else 0.
+    run, restarts included).  ``bound_floor`` is the operator-norm bound
+    :func:`residual_lower_bound` when the target is a scalar matrix, else 0;
+    the Frobenius optimum is exactly sqrt(n) times it.  ``stop_reason`` says
+    why the run ended: ``"target"`` (best residual at most
+    ``target_residual``), ``"floor"`` (best residual certified optimal at the
+    Frobenius floor), ``"stall"`` (the last restart stopped improving) or
+    ``"budget"`` (the last restart used all of ``max_iterations``).
     """
 
     residual_history: np.ndarray
     final_factors: list
     best_residual: float
     bound_floor: float
+    stop_reason: str
 
 
 def _scalar_target(T: np.ndarray) -> complex | None:
@@ -142,6 +154,8 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
     rng = np.random.default_rng(config.seed)
     lam = _scalar_target(T)
     floor = residual_lower_bound(lam) if lam is not None else 0.0
+    frob_floor = np.sqrt(T.shape[0]) * floor
+    stop_at = max(config.target_residual, frob_floor * (1 + 1e-12))
 
     init_scale = np.sqrt(max(frob(T), 1.0) / config.m)
     best_resid = np.inf
@@ -160,6 +174,7 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
         total = sum(products)
         cur = frob(total - T)
         since_improve = 0
+        stop_reason = "budget"
         for _ in range(config.max_iterations):
             prev = cur
             for j in range(config.m):
@@ -189,22 +204,25 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
             history.append(best_resid)
             if len(history) >= 2 and not history[-1] <= history[-2]:
                 raise RuntimeError("residual history must be non-increasing")
-            if best_resid <= config.target_residual:
+            if best_resid <= stop_at:
+                stop_reason = "target" if best_resid <= config.target_residual else "floor"
                 break
             since_improve = since_improve + 1 if cur > prev - config.stall_rtol * max(1.0, prev) else 0
             if since_improve >= config.stall_iterations:
+                stop_reason = "stall"
                 break
-        if best_resid <= config.target_residual:
+        if best_resid <= stop_at:
             break
 
-    if not best_resid >= floor - 1e-6:
+    if not best_resid >= frob_floor * (1 - 1e-9):
         raise RuntimeError(
-            f"optimizer beat the analytic floor: {best_resid} < {floor}")
+            f"optimizer beat the analytic floor: {best_resid} < {frob_floor}")
     return OptimizationTrace(
         residual_history=np.asarray(history),
         final_factors=best_factors,
         best_residual=float(best_resid),
         bound_floor=float(floor),
+        stop_reason=stop_reason,
     )
 
 

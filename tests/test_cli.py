@@ -133,6 +133,7 @@ def test_optimize_writes_trace(workdir):
     assert all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
     summary = json.loads((workdir / "opt.csv.json").read_text())
     assert summary["best_residual"] <= 1e-8
+    assert summary["stop_reason"] == "target"
 
 
 def test_study_deterministic(workdir):

@@ -338,6 +338,8 @@ def test_two_summands_planted_search():
     assert isinstance(result, DecompositionResult)
     assert result.reconstruction_residual <= 1e-2
     assert len(result.summands) == 2
+    assert result.method == "search"
+    assert result.diagnostics["stop_reason"] == "target"
 
 
 # --- sum of products --------------------------------------------------------

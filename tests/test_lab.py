@@ -40,6 +40,7 @@ def test_optimize_identity_single_product():
     trace = optimize_sum_of_products(
         np.eye(2), OptimizationConfig(m=1, max_iterations=100, restarts=2, seed=0))
     assert trace.best_residual <= 1e-8
+    assert trace.stop_reason == "target"
 
 
 def test_optimize_respects_floor_neg_identity():
@@ -47,6 +48,11 @@ def test_optimize_respects_floor_neg_identity():
         -np.eye(4), OptimizationConfig(m=3, max_iterations=200, restarts=4, seed=1))
     assert trace.bound_floor == 1.0
     assert trace.best_residual >= 1.0 - 1e-6
+    # the start point sum_j A_j B_j = 0 already sits on the exact Frobenius
+    # floor sqrt(4) * dist(-1, R+) = 2, so the run is certified at once
+    assert trace.stop_reason == "floor"
+    assert len(trace.residual_history) == 1
+    assert 2.0 <= trace.best_residual <= 2.0 * (1 + 1e-12)
 
 
 def test_optimize_history_monotone(rng):
@@ -77,6 +83,18 @@ def test_optimize_fixed_step_rule(rng):
     assert np.all(np.diff(trace.residual_history) <= 1e-15)
 
 
+@pytest.mark.parametrize("extra, reason", [
+    ({}, "budget"),
+    ({"stall_iterations": 1, "stall_rtol": 1e9}, "stall"),
+], ids=["budget", "stall"])
+def test_optimize_stop_reason_budget_and_stall(rng, extra, reason):
+    T = random_complex(rng, 3)
+    trace = optimize_sum_of_products(
+        T, OptimizationConfig(m=2, max_iterations=3, restarts=1, seed=4, **extra))
+    assert trace.stop_reason == reason
+    assert len(trace.residual_history) == (3 if reason == "budget" else 1)
+
+
 def test_optimize_config_validation():
     with pytest.raises(ValueError):
         OptimizationConfig(m=0)
@@ -91,6 +109,9 @@ def test_optimize_deterministic(rng):
     t2 = optimize_sum_of_products(T, cfg)
     assert np.array_equal(t1.residual_history, t2.residual_history)
     assert t1.best_residual == t2.best_residual
+    assert t1.stop_reason == t2.stop_reason
+    for (A1, B1), (A2, B2) in zip(t1.final_factors, t2.final_factors, strict=True):
+        assert np.array_equal(A1, A2) and np.array_equal(B1, B2)
 
 
 def test_condition_study_reproducible(tmp_path):
