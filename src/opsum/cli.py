@@ -195,7 +195,10 @@ def _cmd_optimize(args) -> int:
             for a, b in trace.final_factors],
     }
     serialize.dump_json(summary, args.output + ".json")
-    print(f"best residual {trace.best_residual:.6e} (floor {trace.bound_floor:g})")
+    # bound_floor is the operator-norm bound; the residual is a Frobenius norm
+    frob_floor = np.sqrt(T.shape[0]) * trace.bound_floor
+    print(f"best residual {trace.best_residual:.6e} "
+          f"(Frobenius floor {frob_floor:.6e})")
     return EXIT_OK
 
 
@@ -296,3 +299,7 @@ def main(argv=None) -> int:
 
 def run():  # console entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -135,13 +135,16 @@ def eig(M, tol: float = DEFAULT_TOL) -> SpectrumReport:
         All eigenvalues with multiplicity, sorted by (Re, Im).
     """
     A = as_square_matrix(M)
-    w = sorted_eigenvalues(np.linalg.eigvals(A))
-    scale = max(1.0, op_norm(A))
+    return _spectrum_report(sorted_eigenvalues(np.linalg.eigvals(A)), op_norm(A), tol)
+
+
+def _spectrum_report(w: np.ndarray, scale: float, tol: float) -> SpectrumReport:
+    """The :func:`eig` report for sorted eigenvalues ``w`` of a matrix of norm ``scale``."""
     maxdist = float(np.max(dist_to_rplus(w)))
     return SpectrumReport(
         eigenvalues=w,
         max_dist_to_rplus=maxdist,
-        is_real_nonnegative=bool(maxdist <= tol * scale),
+        is_real_nonnegative=bool(maxdist <= tol * max(1.0, scale)),
         tolerance=tol,
     )
 

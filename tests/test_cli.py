@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from opsum import serialize
 from opsum.cli import EXIT_OBSTRUCTION, EXIT_OK, EXIT_USAGE, main
 from opsum.randmat import random_psd
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -136,6 +142,17 @@ def test_optimize_writes_trace(workdir):
     assert summary["stop_reason"] == "target"
 
 
+def test_optimize_prints_frobenius_floor(workdir, capsys):
+    # -I (2x2): the operator-norm bound is 1, the Frobenius floor sqrt(2)
+    code = main(["optimize", "--input", str(workdir / "neg.json"),
+                 "--output", str(workdir / "neg.csv"), "--m", "2"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.strip() == \
+        "best residual 1.414214e+00 (Frobenius floor 1.414214e+00)"
+    summary = json.loads((workdir / "neg.csv.json").read_text())
+    assert summary["bound_floor"] == 1.0
+
+
 def test_study_deterministic(workdir):
     a, b = workdir / "s1.csv", workdir / "s2.csv"
     args = ["study", "--sizes", "2", "--margins", "1,0.1", "--trials", "2",
@@ -164,3 +181,20 @@ def test_usage_errors_exit_1(workdir):
                  "--output", str(workdir / "x.csv"), "--grid", "1,2,3"]) == EXIT_USAGE
     assert main(["luders-demo", "--lambda", "frog",
                  "--output", str(workdir / "x.json")]) == EXIT_USAGE
+
+
+def test_module_entry_point(workdir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = workdir / "ps.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "opsum.cli", "pseudospectrum",
+         "--input", str(workdir / "idpair.json"), "--output", str(out),
+         "--grid=-1,2,-1,1,3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(out.read_text().strip().splitlines()) == 1 + 9
+    proc = subprocess.run([sys.executable, "-m", "opsum.cli", "nosuchcommand"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_USAGE

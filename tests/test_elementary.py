@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opsum.core import ShapeError, dist_to_rplus, frob, matching_distance, op_norm
 from opsum.elementary import (
@@ -157,6 +160,20 @@ def test_hs_positivity_non_psd_coefficient():
     assert not rep.coefficients_psd
 
 
+@pytest.mark.parametrize("psd", [True, False])
+def test_hs_positivity_spectrum_is_eig_report(psd, rng):
+    # built from the certificate's eigenvalues, bit for bit what eig reports
+    n = 4
+    draw = random_psd if psd else random_complex
+    op = ElementaryOperator.build([(draw(rng, n), draw(rng, n)) for _ in range(2)])
+    got, want = hs_positivity(op).spectrum, op.spectrum()
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.max_dist_to_rplus == want.max_dist_to_rplus
+    assert got.is_real_nonnegative == want.is_real_nonnegative
+    assert got.tolerance == want.tolerance
+    assert got.is_real_nonnegative is psd
+
+
 # --- planted eigenvalue -----------------------------------------------------
 
 def test_plant_eigenvalue_scalar_case():
@@ -227,3 +244,111 @@ def test_pseudospectrum_matches_svd_oracle(rng):
 def test_pseudospectrum_rejects_empty_grid():
     with pytest.raises(ValueError):
         GridSpec(0, 1, 0, 1, 0)
+
+
+def _svd_sigma_min(M, grid):
+    """Per-point SVD of M - zI over the grid: the definition, as an oracle."""
+    re = np.linspace(grid.re0, grid.re1, grid.steps)
+    im = np.linspace(grid.im0, grid.im1, grid.steps)
+    eye = np.eye(M.shape[0])
+    return np.array([[np.linalg.svd(M - (a + 1j * b) * eye, compute_uv=False)[-1]
+                      for a in re] for b in im])
+
+
+def _shift(n):
+    return np.diag(np.ones(n - 1), 1)
+
+
+def _pairs(kind, rng, n):
+    if kind == "generic":
+        return [(random_complex(rng, n), random_complex(rng, n)) for _ in range(2)]
+    if kind == "mixed":
+        return [(random_psd(rng, n), random_complex(rng, n)) for _ in range(2)]
+    if kind == "nilpotent":
+        return [(_shift(n), np.eye(n)), (np.eye(n), _shift(n).T)]
+    if kind == "jordan":
+        return [(0.5 * np.eye(n) + _shift(n), 0.3 * np.eye(n) + _shift(n))]
+    if kind == "luders":
+        return [(P, P) for P in (random_psd(rng, n) for _ in range(3))]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["generic", "mixed", "nilpotent", "jordan", "luders"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pseudospectrum_matches_per_point_svd(kind, n, rng):
+    op = ElementaryOperator.build(_pairs(kind, rng, n))
+    M = op.to_matrix()
+    scale = max(1.0, op_norm(M))
+    # a grid around the whole spectrum and a fine one near the origin
+    for grid in (GridSpec(-0.3 * scale, 1.2 * scale, -0.6 * scale, 0.6 * scale, 7),
+                 GridSpec(-0.05, 0.07, -0.03, 0.04, 5)):
+        got = pseudospectrum(op, grid).sigma_min
+        assert np.max(np.abs(got - _svd_sigma_min(M, grid))) <= 1e-12 * scale
+
+
+def test_pseudospectrum_triangular_coefficient():
+    # at z = 0.3 the smallest right singular vector of the Schur factor
+    # T - zI is orthogonal to the all-ones vector, which a ones start
+    # vector for Lanczos would miss
+    op = ElementaryOperator.build([(np.array([[1.3, 0.6], [0.0, 1.1]]), np.eye(2))])
+    grid = GridSpec(0.0, 1.0, 0.0, 0.0, 11)
+    got = pseudospectrum(op, grid).sigma_min
+    assert np.max(np.abs(got - _svd_sigma_min(op.to_matrix(), grid))) <= 1e-12 * 2.0
+
+
+@pytest.mark.parametrize("kind", ["generic", "luders"])
+def test_pseudospectrum_zero_on_schur_diagonal(kind, rng):
+    op = ElementaryOperator.build(_pairs(kind, rng, 3))
+    T = scipy.linalg.schur(op.to_matrix(), output="complex")[0]
+    for lam in np.diag(T)[::2]:
+        grid = GridSpec(lam.real, lam.real, lam.imag, lam.imag, 1)
+        assert pseudospectrum(op, grid).sigma_min[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (1 + 2j, -0.5j), (0.0, 1.0)])
+def test_pseudospectrum_scalar_coefficients(a, b):
+    op = ElementaryOperator.build([(np.array([[a]]), np.array([[b]]))])
+    grid = pseudospectrum(op, GridSpec(-1.0, 2.0, -1.0, 1.0, 5))
+    z = grid.re[None, :] + 1j * grid.im[:, None]
+    assert np.max(np.abs(grid.sigma_min - np.abs(a * b - z))) <= 1e-15 * max(1.0, abs(a * b))
+
+
+def test_pseudospectrum_near_normal_matches_svd(rng):
+    # Hermitian superoperator plus a 1e-6 non-normal part: far above the
+    # N eps ||T||_F the distance-to-diagonal shortcut allows
+    n = 4
+    H = random_psd(rng, n)
+    op = ElementaryOperator.build([(H, np.eye(n)), (1e-6 * _shift(n), np.eye(n))])
+    M = op.to_matrix()
+    scale = max(1.0, op_norm(M))
+    for grid in (GridSpec(-0.5, 1.5 * scale, -0.5, 0.5, 9),
+                 GridSpec(0.0, 0.4, -1e-5, 1e-5, 9)):
+        got = pseudospectrum(op, grid).sigma_min
+        assert np.max(np.abs(got - _svd_sigma_min(M, grid))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["generic", "luders"])
+def test_pseudospectrum_deterministic(kind, rng):
+    op = ElementaryOperator.build(_pairs(kind, rng, 4))
+    grid = GridSpec(-1.0, 3.0, -1.0, 1.0, 6)
+    first = pseudospectrum(op, grid).sigma_min
+    assert np.array_equal(first, pseudospectrum(op, grid).sigma_min)
+
+
+def test_pseudospectrum_n16_runtime_cap(rng):
+    # N = 256, 121 points, on a 2-core x86-64 container: 2.2-2.4 s with an
+    # SVD per point, 0.6 s with one Schur form and inverse Lanczos.  The
+    # faster of two calls is timed, so one stall on a shared machine does
+    # not fail the test.
+    cap = 1.5
+    n = 16
+    pairs = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(3)]
+    op = ElementaryOperator.build(pairs)
+    r = sum(op_norm(A) * op_norm(B) for A, B in pairs)
+    grid = GridSpec(-0.25 * r, 1.25 * r, -0.5 * r, 0.5 * r, 11)
+    elapsed = []
+    for _ in range(2):
+        start = time.perf_counter()
+        pseudospectrum(op, grid)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < cap, f"n = 16 grid took {min(elapsed):.2f}s, cap {cap}s"
