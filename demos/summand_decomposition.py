@@ -3,9 +3,11 @@
 
 Any even-dimensional matrix with real positive trace splits into four
 summands similar to positive matrices, each with at most two spectral
-points and pairwise disjoint spectra.  Three- and two-summand splits are
-best effort: shortcuts when the target is already positive-like, a
-constructive block path when it applies, a bounded search otherwise.
+points and pairwise disjoint spectra.  Two summands already suffice for any
+real positive trace, in any dimension: shortcuts when the target is already
+positive-like, otherwise a triangular split of the target's zero-diagonal
+form, and a bounded search only when that split's similarities are too
+ill-conditioned.
 """
 
 import numpy as np
@@ -56,9 +58,13 @@ print("scalar target, shortcut:", three_summands(3 * np.eye(4)).method)
 block = np.block([[np.diag([1.0, 2.0]), np.diag([1.0, 2.0])],
                   [rng.standard_normal((2, 2)), np.zeros((2, 2))]])
 r3 = three_summands(block)
-print(f"block target, {r3.method} path, residual {r3.reconstruction_residual:.2e}")
+print(f"non-normal 4x4 target, {r3.method} path, residual {r3.reconstruction_residual:.2e}")
 
 print()
 print("=== two summands ===")
 r2 = two_summands(np.diag([3.0, 1.0]))
 print("diag(3,1) ->", " + ".join(str(np.round(s.value.real, 3).tolist()) for s in r2.summands))
+r2 = two_summands(T)
+print(f"the trace-5 target above, {r2.method} path, residual "
+      f"{r2.reconstruction_residual:.2e}, cond(S) "
+      f"{max(s.condition_number for s in r2.summands):.1f}")

@@ -290,8 +290,12 @@ def positivity_certificate(
     because a residual bound independent of cond(V) is not achievable in
     floating point near the condition cap.
     """
+    return _certificate_and_scale(M, tol, cond_cap)[0]
+
+
+def _certificate_and_scale(M, tol: float, cond_cap: float) -> tuple[PsdCertificate, float]:
+    """:func:`positivity_certificate` and the operator norm ``||M||`` it scaled by."""
     A = as_square_matrix(M)
-    n = A.shape[0]
     scale = op_norm(A)
     tol_abs = tol * max(1.0, scale)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(A))[0])
@@ -307,7 +311,7 @@ def positivity_certificate(
             subject=A, kind="positive-semidefinite", witness=V,
             min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
             witness_condition=1.0, witness_residual=float(resid), eigenvalues=w,
-        )
+        ), scale
 
     if maxdist > tol_abs:
         return PsdCertificate(
@@ -315,7 +319,7 @@ def positivity_certificate(
             min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
             diagnostics=f"spectrum leaves [0, inf): max distance {maxdist:.3e} "
                         f"exceeds {tol_abs:.3e}", eigenvalues=w,
-        )
+        ), scale
 
     we, V = np.linalg.eig(A)
     sv = np.linalg.svd(V, compute_uv=False)
@@ -339,7 +343,7 @@ def positivity_certificate(
                             f"{cond_cap:.1e}; treating as non-diagonalizable "
                             f"(closest eigenvalue pair {gap:.3e} apart)",
                 eigenvalues=w,
-            )
+            ), scale
 
     resid = op_norm(V @ np.diag(D) @ np.linalg.inv(V) - A)
     allowed = tol * max(1.0, cond) * max(1.0, scale)
@@ -349,12 +353,12 @@ def positivity_certificate(
             min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
             diagnostics=f"witness reconstruction residual {resid:.3e} exceeds "
                         f"{allowed:.3e}", eigenvalues=w,
-        )
+        ), scale
     return PsdCertificate(
         subject=A, kind="similar-to-positive", witness=V,
         min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
         witness_condition=cond, witness_residual=float(resid), eigenvalues=w,
-    )
+    ), scale
 
 
 def hs_inner(X, Y) -> complex:

@@ -26,12 +26,12 @@ Pipelines
   the trace of T; the off-diagonal blocks are then matched by back-solving
   x_1 and y_2.  The free parameters are auto-tuned from trace(T) so every
   real positive trace is feasible.
-* :func:`three_summands` and :func:`two_summands` are best-effort: shortcut
-  splits when the target is already (similar to) PSD, and an
-  optimizer-backed search otherwise.  In between, :func:`three_summands`
-  tries one constructive three-term path: it brings an even-dimensional
-  target to the block form [[A', B'], [C', 0]] with B' invertible and
-  succeeds when A' is diagonalizable with spectrum in (0, inf).
+* :func:`three_summands` and :func:`two_summands`: in finite dimension T
+  is a sum of two matrices similar to positive exactly when T = 0 or
+  trace(T) is real and positive.  Targets already (similar to) PSD take a
+  shortcut; the rest take the triangular split of :func:`_triangular`,
+  whose cond(S) grows exponentially in n at a fixed trace(T) / n, so past
+  a cond(S) gate an optimizer-backed search runs instead.
 
 Every pipeline builds its result in one place, which reads each summand's
 spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    DEFAULT_COND_CAP,
     DEFAULT_TOL,
     ShapeError,
     as_square_matrix,
@@ -55,12 +56,11 @@ from .core import (
     positivity_certificate,
 )
 from .lab import OptimizationConfig, optimize_sum_of_products, psd_project
-from .randmat import random_unitary
 from .solvers import (
     DEFAULT_SOLVER_CONFIG,
     SolverConfig,
     commutator_solve,
-    sylvester_solve,
+    zero_diagonalize,
 )
 
 __all__ = [
@@ -114,8 +114,8 @@ class ObstructionCertificate:
     """Machine-checkable reason a decomposition cannot exist.
 
     Reasons: ``non-real-trace`` and ``nonpositive-real-trace`` are issued by
-    the trace argument; ``odd-dimension`` and ``not-representable`` are
-    reserved diagnostics for constructive-path callers.
+    the trace argument; ``not-representable`` is a reserved diagnostic for
+    constructive-path callers.
     """
 
     reason: str
@@ -143,7 +143,9 @@ def check_obstruction(T, tol: float = TRACE_TOL) -> ObstructionCertificate | Non
     spectrum lies in [0, inf)), and the trace of a sum of nonzero such
     summands is strictly positive unless all summands vanish.  Returns a
     certificate for non-real or nonpositive real trace, else None.  None
-    does not assert feasibility at any particular summand count.
+    means a two-summand split exists: T = 0, or real positive trace, where
+    the triangular split of :func:`two_summands` is exact in exact
+    arithmetic (numerically it may be too ill-conditioned to build).
     """
     A = as_square_matrix(T)
     tr = complex(np.trace(A))
@@ -434,12 +436,17 @@ def four_summands(
 
 
 # ---------------------------------------------------------------------------
-# three / two summands (best effort)
+# three / two summands
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DecompConfig:
-    """Knobs for the best-effort pipelines."""
+    """Knobs for the best-effort pipelines.
+
+    ``sep_margin``, ``preprocess_cond_cap`` and ``preprocess_retries`` are
+    accepted, so existing configurations still construct, but no pipeline
+    reads them.
+    """
 
     sep_margin: float = 1e-3
     preprocess_cond_cap: float = 1e6
@@ -498,44 +505,11 @@ def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
     })
 
 
-def _preprocess_block_form(T, config: DecompConfig):
-    """Similarity W with W T W^-1 = [[A', B'], [C', 0]], B' well conditioned.
-
-    Conjugates by a (retried) random unitary until the upper-right block is
-    invertible, then kills the lower-right block with a triangular
-    similarity.  Returns (W, A', B', C') or None.
-    """
-    n = T.shape[0]
-    k = n // 2
-    rng = np.random.default_rng(config.seed)
-    eye = np.eye(k, dtype=complex)
-    for attempt in range(config.preprocess_retries):
-        U = np.eye(n, dtype=complex) if attempt == 0 else random_unitary(rng, n)
-        T1 = U @ T @ U.conj().T
-        B1 = T1[:k, k:]
-        cond = np.linalg.cond(B1)
-        if not np.isfinite(cond) or cond > config.preprocess_cond_cap:
-            continue
-        y = -T1[k:, k:] @ np.linalg.inv(B1)
-        L = np.block([[eye, np.zeros((k, k))], [y, eye]])
-        Linv = np.block([[eye, np.zeros((k, k))], [-y, eye]])
-        Tp = L @ T1 @ Linv
-        W = L @ U
-        return W, Tp[:k, :k], Tp[:k, k:], Tp[k:, :k]
-    return None
-
-
 @dataclass(frozen=True)
 class ThreeTermState:
-    """Solved unknowns of the constructive three-term system.
+    """Unknowns of a block-form three-term system.
 
-    ``c`` holds the targets of the leading blocks (each similar to
-    positive), ``b`` the PSD trailing middles; the spectra of paired
-    (c_j, b_j) must be disjoint for j = 1, 2 so the Sylvester steps that
-    recover the similarities stay solvable.  ``v`` and ``w`` are the
-    off-diagonal unknowns, ``preproc_similarity`` the change of basis that
-    reached the [[A', B'], [C', 0]] block form (B' invertible, so B' B'* is
-    too).
+    Part of the public API, but no pipeline builds it.
     """
 
     c: tuple
@@ -548,133 +522,87 @@ class ThreeTermState:
     preproc_similarity: np.ndarray
 
 
-def _assemble_three(state: ThreeTermState, T, config):
-    """Build the three summands from solved unknowns and undo preprocessing."""
-    Bp = state.upper_right
-    k = Bp.shape[0]
-    eye = np.eye(k, dtype=complex)
-    zero = np.zeros((k, k), dtype=complex)
-    s_list = [zero, -Bp, zero]
-    v_list = [state.v - state.w, state.v, zero]
-    Winv = np.linalg.inv(state.preproc_similarity)
+def _triangular(T, m: int, config: DecompConfig):
+    """Two or three summands from the zero-diagonal form of T - cI, c = tr T / n.
+
+    Unitary zero-diagonalization gives T = R* (cI + L + U) R with L strictly
+    lower and U strictly upper triangular.  With a_i = c i / (n + 1) and
+    b = c - a, both L + diag(a) and U + diag(b) are triangular with distinct
+    positive diagonals, hence similar to positive; m = 3 halves the second,
+    which keeps every cond(S_j) at its m = 2 value.  Returns
+    ``(result, None)``, or ``(None, reason)`` when a cond(S_j) exceeds the
+    diagonalizability cap (above it verify could not certify the summand)
+    or the reconstruction misses ``config.constructive_tol``.
+    """
+    n = T.shape[0]
+    tr = complex(np.trace(T))
+    R, Z = zero_diagonalize(T - (tr / n) * np.eye(n))
+    c = tr.real / n   # the trace gate allows a negligible imaginary part
+    a = c * np.arange(1, n + 1) / (n + 1)
+    b = c - a
+    parts = [np.tril(Z, -1) + np.diag(a), np.triu(Z, 1) + np.diag(b)]
+    if m == 3:
+        parts = [parts[0], parts[1] / 2.0, parts[1] / 2.0]
     summands = []
-    for j in range(3):
-        if j in (0, 2):
-            x_j = zero                     # solves c x - x b = 0
-        else:
-            x_j = sylvester_solve(state.c[j], state.b[j], s_list[j])
-        u_j = state.u[j]
-        y_j = v_list[j] @ u_j
-        z_j = eye + v_list[j] @ x_j
-        S_j = np.block([[u_j, x_j], [y_j, z_j]])
-        P_j = np.block([[state.a[j], zero], [zero, state.b[j]]])
-        summands.append(make_summand(Winv @ S_j, P_j))
-    if frob(sum(s.value for s in summands) - T) / frob(T) > config.constructive_tol:
-        return None
+    for X in parts:
+        w, V = np.linalg.eig(X)
+        s = make_summand(R.conj().T @ V, np.diag(w.real).astype(complex))
+        if not s.condition_number <= DEFAULT_COND_CAP:
+            return None, f"cond(S) {s.condition_number:.1e} above {DEFAULT_COND_CAP:.0e}"
+        summands.append(s)
+    residual = frob(sum(s.value for s in summands) - T) / frob(T)
+    if not residual <= config.constructive_tol:
+        return None, f"reconstruction {residual:.1e} above {config.constructive_tol:.0e}"
     return _finish(T, summands, "constructive",
-                   {"note": "block-triangular three-term construction"})
+                   {"note": "triangular split of the zero-diagonal form"}), None
 
 
-def _constructive_three(T, config: DecompConfig):
-    """Scalar-b three-term construction on the preprocessed block form.
-
-    After reaching [[A', B'], [C', 0]] with B' invertible, try middle-block
-    targets c_j = (A' - eps)/3 and b_j = w_j * eps * I.  This needs A'
-    diagonalizable with spectrum in the open right half of [0, inf); the
-    equation system then closes exactly: v = -eps * B'^-1, the b-sum
-    condition holds since eps I commutes with everything, and the remaining
-    unknowns come from two Sylvester solves.
-    """
-    pre = _preprocess_block_form(T, config)
-    if pre is None:
-        return None
-    W, Ap, Bp, Cp = pre
-    k = Bp.shape[0]
-    eye = np.eye(k, dtype=complex)
-
-    ca = positivity_certificate(Ap)
-    if not is_similar_to_positive(ca) or ca.witness is None:
-        return None
-    w_eigs = np.linalg.eigvals(Ap)
-    min_re = float(w_eigs.real.min())
-    if min_re <= 4.0 * config.sep_margin:
-        return None
-    eps = min_re / 2.0
-
-    Va = ca.witness
-    Da = np.real(np.linalg.inv(Va) @ Ap @ Va).diagonal()
-    weights = np.array([0.25, 0.35, 0.40])
-    c_spec = (w_eigs - eps) / 3.0
-    for attempt in range(20):
-        b_vals = eps * weights
-        ok = all(np.abs(c_spec - b_vals[j]).min() >= config.sep_margin / 4.0
-                 for j in range(2))
-        if ok and np.abs(np.diff(b_vals)).min() >= config.sep_margin / 4.0:
-            break
-        weights = _nudge_weights(np.array([0.25, 0.35, 0.40]), attempt + 1)
-    else:
-        return None
-
-    a_diag = np.maximum((Da - eps) / 3.0, 0.0)
-    a_list = (np.diag(a_diag).astype(complex),) * 3
-    c_block = Va @ a_list[0] @ np.linalg.inv(Va)
-    c_list = (c_block,) * 3
-    b_list = tuple(b_vals[j] * eye for j in range(3))
-
-    v = -eps * np.linalg.inv(Bp)
-    # remaining equation: b_1 w - w c_1 = C' - v (A' - c_3) - b_3 v - v B' v
-    rhs = Cp - v @ (Ap - c_list[2]) - b_list[2] @ v - v @ Bp @ v
-    try:
-        w_mat = sylvester_solve(b_list[0], c_list[0], rhs)
-    except ValueError:
-        return None
-    state = ThreeTermState(c=c_list, b=b_list, u=(Va,) * 3, a=a_list,
-                           v=v, w=w_mat, upper_right=Bp, preproc_similarity=W)
-    return _assemble_three(state, T, config)
-
-
-def three_summands(T, config: DecompConfig | None = None):
-    """Best-effort split into three summands similar to positive matrices.
-
-    Order of attempts: trace certificates; equal split when the target is
-    itself (similar to) PSD; the constructive block path on even dimension;
-    the optimizer-backed search.  The result always carries per-summand
-    certificates via :func:`verify_decomposition` and its achieved residual.
-    """
+def _best_effort(T, m: int, config: DecompConfig | None):
+    """Shortcut, then the triangular split, then the search (m = 2 or 3)."""
     A = as_square_matrix(T)
     config = config or DecompConfig()
-    result = _shortcut(A, 3)
-    if result is None and A.shape[0] % 2 == 0:
-        result = _constructive_three(A, config)
+    result = _shortcut(A, m)
+    if result is not None:
+        return result
+    result, reason = _triangular(A, m, config)
     if result is not None:
         return result
     if not config.allow_search_fallback:
-        raise RuntimeError(
-            "constructive three-summand path failed and search fallback is disabled")
-    return _search_result(A, 3, config)
+        raise RuntimeError(f"constructive {m}-summand path declined ({reason}) "
+                           "and search fallback is disabled")
+    result = _search_result(A, m, config)
+    result.diagnostics["constructive_declined"] = reason
+    return result
+
+
+def three_summands(T, config: DecompConfig | None = None):
+    """Split into three summands similar to positive matrices.
+
+    Order of attempts: trace certificates; equal split when the target is
+    itself (similar to) PSD; the triangular split, in any dimension; the
+    optimizer-backed search when a triangular similarity is too
+    ill-conditioned (the reason is kept in
+    ``diagnostics["constructive_declined"]``).
+    """
+    return _best_effort(T, 3, config)
 
 
 def two_summands(T, config: DecompConfig | None = None):
-    """Best-effort split into two summands similar to positive matrices.
+    """Split into two summands similar to positive matrices.
 
     PSD targets split as (T - lam_min I) + lam_min I; targets similar to
-    positive split the same way inside the witness basis.  Everything else
-    goes to the optimizer-backed search with two product pairs.
+    positive split the same way inside the witness basis.  The rest go as
+    in :func:`three_summands`, with two product pairs in the search.
     """
-    A = as_square_matrix(T)
-    result = _shortcut(A, 2)
-    if result is None:
-        result = _search_result(A, 2, config or DecompConfig())
-    return result
+    return _best_effort(T, 2, config)
 
 
 def sum_of_products(T, m: int, config: DecompConfig | None = None,
                     params: FourSummandParams | None = None):
     """Express T as m products of PSD pairs, T = sum_j A_j B_j.
 
-    m = 4 routes through the constructive four-summand split (guaranteed
-    under real positive trace on even dimension); m = 3 and m = 2 route
-    through the best-effort pipelines.  Returns the list of PSD pairs or an
+    m = 4 routes through :func:`four_summands` (even dimension), m = 3 and
+    m = 2 through :func:`three_summands` and :func:`two_summands`.  Returns the list of PSD pairs or an
     :class:`ObstructionCertificate`.
     """
     if m not in (2, 3, 4):

@@ -23,10 +23,12 @@ from scipy.linalg.blas import zgemv, ztrsv
 from scipy.linalg.lapack import dstemr
 
 from .core import (
+    DEFAULT_COND_CAP,
     DEFAULT_TOL,
     PsdCertificate,
     ShapeError,
     SpectrumReport,
+    _certificate_and_scale,
     _spectrum_report,
     as_square_matrix,
     dist_to_rplus,
@@ -34,7 +36,6 @@ from .core import (
     frob,
     is_psd,
     op_norm,
-    positivity_certificate,
 )
 
 __all__ = [
@@ -173,11 +174,10 @@ def hs_positivity(op: ElementaryOperator, tol: float = DEFAULT_TOL) -> HsPositiv
     the spectrum is contained in [0, inf); non-PSD coefficients typically
     yield kind ``"neither"`` with diagnostics.
     """
-    M = op.to_matrix()
-    cert = positivity_certificate(M, tol)
+    cert, scale = _certificate_and_scale(op.to_matrix(), tol, DEFAULT_COND_CAP)
     return HsPositivityReport(
         certificate=cert,
-        spectrum=_spectrum_report(cert.eigenvalues, op_norm(M), tol),
+        spectrum=_spectrum_report(cert.eigenvalues, scale, tol),
         coefficients_psd=op.coefficients_psd(tol),
         commuting_side=_commuting_side(op, tol),
     )
@@ -313,6 +313,10 @@ def pseudospectrum(op: ElementaryOperator, grid: GridSpec) -> PseudospectrumGrid
     Accuracy: about N eps ||M|| absolute, the order of the backward error
     of an SVD of M - zI.  Deterministic; grid points are independent, so the
     evaluation order does not affect the result.
+
+    Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1`` before numpy loads)
+    when other BLAS-heavy processes share the cores: the many small level-2
+    calls of inverse Lanczos stall under thread oversubscription.
     """
     M = op.to_matrix()
     N = M.shape[0]

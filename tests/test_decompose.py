@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsum.core import frob, is_psd, is_similar_to_positive, op_norm, positivity_certificate
 from opsum.decompose import (
@@ -16,6 +19,7 @@ from opsum.decompose import (
     to_positive_product,
     two_summands,
     verify_decomposition,
+    _search_result,
 )
 from opsum.core import ShapeError
 from opsum.lab import OptimizationConfig
@@ -297,15 +301,49 @@ def test_three_summands_n2_constructive(rng):
     assert verify_decomposition(T, result, tol=1e-6).passed
 
 
-def test_three_summands_fallback_disabled():
-    # generic complex 4x4 target: the leading block has complex spectrum, so
-    # the constructive variants fail and the disabled fallback must raise
+def test_three_summands_fallback_disabled(rng):
+    # the generic complex 4x4 target takes the triangular split, so the
+    # disabled fallback is never reached
     g = np.random.default_rng(0)
     T = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
     T -= 1j * (np.trace(T).imag / 4) * np.eye(4)
     T += ((3 - np.trace(T).real) / 4) * np.eye(4)
-    with pytest.raises(RuntimeError):
+    result = three_summands(T, DecompConfig(allow_search_fallback=False))
+    assert result.method == "constructive"
+    report = verify_decomposition(T, result, tol=1e-6)
+    assert report.passed, report.failures()
+    # at n = 16, margin 0.1 the triangular similarities exceed the cond gate,
+    # and with the fallback disabled the decline must raise with its reason
+    T = random_real_trace(rng, 16, 1.6)
+    with pytest.raises(RuntimeError, match=r"cond\(S\) .* above 1e\+08"):
         three_summands(T, DecompConfig(allow_search_fallback=False))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), margin=st.sampled_from([1.0, 10.0]),
+       kind=st.sampled_from(["real", "complex"]), m=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_constructive_route_property(n, margin, kind, m, seed):
+    # every real-positive-trace target at these sizes and margins splits
+    # without the search, any n (odd included), reproducibly bit for bit
+    g = np.random.default_rng(seed)
+    if kind == "complex":
+        T = random_real_trace(g, n, margin * n)
+    else:
+        G = g.standard_normal((n, n))
+        T = G + ((margin * n - np.trace(G)) / n) * np.eye(n)
+    split = two_summands if m == 2 else three_summands
+    config = DecompConfig(allow_search_fallback=False)
+    result = split(T, config)
+    assert result.method in ("shortcut", "constructive")
+    assert len(result.summands) == m
+    report = verify_decomposition(T, result, tol=1e-6)
+    assert report.passed, report.failures()
+    again = split(T, config)
+    for s, t in zip(result.summands, again.summands):
+        assert np.array_equal(s.S, t.S) and np.array_equal(s.P, t.P)
+    for (a, b), (c, d) in zip(result.product_form, again.product_form):
+        assert np.array_equal(a, c) and np.array_equal(b, d)
 
 
 # --- two summands -----------------------------------------------------------
@@ -334,12 +372,22 @@ def test_two_summands_certificate_1x1():
 def test_two_summands_planted_search():
     rng = np.random.default_rng(99)
     T, _ = planted_summand_sum(rng, 2, 2)
-    result = two_summands(T, search_config(2, seed=3))
+    result = _search_result(T, 2, search_config(2, seed=3))
     assert isinstance(result, DecompositionResult)
     assert result.reconstruction_residual <= 1e-2
     assert len(result.summands) == 2
     assert result.method == "search"
     assert result.diagnostics["stop_reason"] == "target"
+
+
+def test_two_summands_search_fallback_records_decline(rng):
+    T = random_real_trace(rng, 16, 1.6)
+    config = DecompConfig(search=OptimizationConfig(m=2, max_iterations=20, restarts=1))
+    result = two_summands(T, config)
+    assert result.method == "search"
+    assert len(result.summands) == 2
+    assert re.fullmatch(r"cond\(S\) \S+ above 1e\+08",
+                        result.diagnostics["constructive_declined"])
 
 
 # --- sum of products --------------------------------------------------------
