@@ -58,6 +58,7 @@ from .core import (
 from .lab import OptimizationConfig, optimize_sum_of_products, psd_project
 from .solvers import (
     DEFAULT_SOLVER_CONFIG,
+    NonzeroTraceError,
     SolverConfig,
     commutator_solve,
     zero_diagonalize,
@@ -531,18 +532,22 @@ def _triangular(T, m: int, config: DecompConfig):
     positive diagonals, hence similar to positive; m = 3 halves the second,
     which keeps every cond(S_j) at its m = 2 value.  Returns
     ``(result, None)``, or ``(None, reason)`` when a cond(S_j) exceeds the
-    diagonalizability cap (above it verify could not certify the summand)
-    or the reconstruction misses ``config.constructive_tol``.
+    diagonalizability cap (above it verify could not certify the summand),
+    the reconstruction misses ``config.constructive_tol`` or the
+    zero-diagonalization fails.
     """
     n = T.shape[0]
     tr = complex(np.trace(T))
-    R, Z = zero_diagonalize(T - (tr / n) * np.eye(n))
+    T0 = T - (tr / n) * np.eye(n)
+    T0 -= (np.trace(T0) / n) * np.eye(n)   # rounding leaves a trace of order eps |tr T|
+    try:
+        R, Z = zero_diagonalize(T0)
+    except (NonzeroTraceError, RuntimeError) as err:
+        return None, f"zero-diagonalization failed: {err}"
     c = tr.real / n   # the trace gate allows a negligible imaginary part
     a = c * np.arange(1, n + 1) / (n + 1)
     b = c - a
-    parts = [np.tril(Z, -1) + np.diag(a), np.triu(Z, 1) + np.diag(b)]
-    if m == 3:
-        parts = [parts[0], parts[1] / 2.0, parts[1] / 2.0]
+    parts = [np.tril(Z, -1) + np.diag(a), (np.triu(Z, 1) + np.diag(b)) / (m - 1)]
     summands = []
     for X in parts:
         w, V = np.linalg.eig(X)
@@ -550,6 +555,7 @@ def _triangular(T, m: int, config: DecompConfig):
         if not s.condition_number <= DEFAULT_COND_CAP:
             return None, f"cond(S) {s.condition_number:.1e} above {DEFAULT_COND_CAP:.0e}"
         summands.append(s)
+    summands += summands[-1:] * (m - 2)   # for m = 3 the two halves are one summand
     residual = frob(sum(s.value for s in summands) - T) / frob(T)
     if not residual <= config.constructive_tol:
         return None, f"reconstruction {residual:.1e} above {config.constructive_tol:.0e}"
@@ -602,17 +608,12 @@ def sum_of_products(T, m: int, config: DecompConfig | None = None,
     """Express T as m products of PSD pairs, T = sum_j A_j B_j.
 
     m = 4 routes through :func:`four_summands` (even dimension), m = 3 and
-    m = 2 through :func:`three_summands` and :func:`two_summands`.  Returns the list of PSD pairs or an
-    :class:`ObstructionCertificate`.
+    m = 2 through :func:`three_summands` and :func:`two_summands`.  Returns
+    the list of PSD pairs or an :class:`ObstructionCertificate`.
     """
     if m not in (2, 3, 4):
         raise ValueError(f"summand count must be 2, 3 or 4, got {m}")
-    if m == 4:
-        result = four_summands(T, params)
-    elif m == 3:
-        result = three_summands(T, config)
-    else:
-        result = two_summands(T, config)
+    result = four_summands(T, params) if m == 4 else _best_effort(T, m, config)
     if isinstance(result, ObstructionCertificate):
         return result
     return list(result.product_form)

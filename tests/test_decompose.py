@@ -390,6 +390,36 @@ def test_two_summands_search_fallback_records_decline(rng):
                         result.diagnostics["constructive_declined"])
 
 
+
+@pytest.mark.parametrize("split", [two_summands, three_summands])
+def test_constructive_route_dominant_trace(split):
+    # T - (tr T / n) I keeps a rounding trace of order eps |tr T|, far above
+    # the zero-trace gate of the small remainder; the split must still run
+    g = np.random.default_rng(0)
+    G = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    T = 1e7 * np.eye(4) + G - 1j * (np.trace(G).imag / 4) * np.eye(4)
+    result = split(T, DecompConfig(allow_search_fallback=False))
+    assert result.method == "constructive"
+    report = verify_decomposition(T, result, tol=1e-6)
+    assert report.passed, report.failures()
+
+
+def test_zero_diagonalization_failure_declines(rng, monkeypatch):
+    # a failed zero-diagonalization is a decline reason, not an escape
+    def stalled(T0):
+        raise RuntimeError("zero-diagonalization stalled")
+
+    monkeypatch.setattr("opsum.decompose.zero_diagonalize", stalled)
+    T = random_real_trace(rng, 4, 4.0)
+    config = DecompConfig(search=OptimizationConfig(m=3, max_iterations=20, restarts=1))
+    result = three_summands(T, config)
+    assert result.method == "search"
+    assert (result.diagnostics["constructive_declined"]
+            == "zero-diagonalization failed: zero-diagonalization stalled")
+    with pytest.raises(RuntimeError, match="zero-diagonalization failed"):
+        two_summands(T, DecompConfig(allow_search_fallback=False))
+
+
 # --- sum of products --------------------------------------------------------
 
 def test_sum_of_products_identity_three():
