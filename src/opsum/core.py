@@ -8,13 +8,14 @@ nonnegative real axis.
 
 All operations are pure functions of their inputs.  Tolerances are relative
 to an operator-norm estimate of the operand and every certificate records
-the tolerance it was issued at.
+the tolerance it was issued at and the operator norm it scaled by.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -201,7 +202,11 @@ class PsdCertificate:
     error ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V).
     ``min_eigenvalue`` always refers to the Hermitian part,
     ``diagonalizability_gap`` is the smallest distance between two distinct
-    eigenvalues (a conditioning diagnostic, inf for 1x1).
+    eigenvalues (a conditioning diagnostic, inf for 1x1).  ``tolerance`` is
+    the relative tolerance the verdict was issued at and ``scale`` the
+    operator norm ``||subject||`` it was scaled by: spectral distances are
+    compared with ``tolerance * max(1, scale)``.  ``eigenvalues`` holds the
+    subject's eigenvalues sorted by (Re, Im).
     """
 
     subject: np.ndarray
@@ -214,6 +219,7 @@ class PsdCertificate:
     witness_residual: float | None = None
     diagnostics: str = ""
     eigenvalues: np.ndarray = field(default=None, repr=False)
+    scale: float | None = None
 
 
 def is_similar_to_positive(cert: PsdCertificate) -> bool:
@@ -229,48 +235,6 @@ def _pairwise_gap(w: np.ndarray) -> float:
     return float(diff.min())
 
 
-def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Group eigenvalues transitively by distance <= radius; returns index arrays."""
-    order = np.lexsort((w.imag, w.real))
-    groups: list[list[int]] = []
-    for idx in order:
-        placed = False
-        for g in groups:
-            if any(abs(w[idx] - w[j]) <= radius for j in g):
-                g.append(idx)
-                placed = True
-                break
-        if not placed:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
-
-
-def _cluster_witness(A, w, radius, scale):
-    """Eigenvector basis from per-cluster null spaces of A - center*I.
-
-    Handles repeated eigenvalues where the plain eigensolver can return a
-    nearly singular eigenvector matrix.  Returns (V, D, ok): per cluster of
-    size m the m smallest singular values of A - center*I must all fall
-    below the defectiveness threshold, otherwise ok is False.
-    """
-    n = A.shape[0]
-    clusters = _cluster_eigenvalues(w, radius)
-    V = np.zeros((n, n), dtype=complex)
-    D = np.zeros(n)
-    col = 0
-    thresh = max(10.0 * radius, 1e-12 * max(1.0, scale))
-    for g in clusters:
-        m = len(g)
-        center = w[g].mean()
-        _, s, vh = np.linalg.svd(A - center * np.eye(n))
-        if s[n - m] > thresh:
-            return None, None, False
-        V[:, col:col + m] = vh[n - m:].conj().T
-        D[col:col + m] = center.real
-        col += m
-    return V, D, True
-
-
 def positivity_certificate(
     M,
     tol: float = DEFAULT_TOL,
@@ -282,19 +246,17 @@ def positivity_certificate(
     is diagonalizable with spectrum in [0, inf).  Numerically the spectrum
     condition is ``dist(lambda, R+) <= tol * max(1, ||M||)`` for every
     eigenvalue, and diagonalizability means some eigenvector matrix has
-    condition number at most ``cond_cap``.  Borderline diagonalizability is
-    reported as ``"neither"`` with a diagnostic string.
+    condition number at most ``cond_cap``.  The one basis tried is the
+    eigenvector matrix from ``numpy.linalg.eig``; when its condition number
+    exceeds ``cond_cap`` the matrix is treated as non-diagonalizable and
+    reported as ``"neither"`` with a diagnostic string.  The certificate
+    records ``tol`` as ``tolerance`` and ``||M||`` as ``scale``.
 
     The witness reconstruction ``||V D V^-1 - M||`` is checked against
     ``tol * cond(V) * max(1, ||M||)``; the conditioning factor is required
     because a residual bound independent of cond(V) is not achievable in
     floating point near the condition cap.
     """
-    return _certificate_and_scale(M, tol, cond_cap)[0]
-
-
-def _certificate_and_scale(M, tol: float, cond_cap: float) -> tuple[PsdCertificate, float]:
-    """:func:`positivity_certificate` and the operator norm ``||M||`` it scaled by."""
     A = as_square_matrix(M)
     scale = op_norm(A)
     tol_abs = tol * max(1.0, scale)
@@ -303,62 +265,37 @@ def _certificate_and_scale(M, tol: float, cond_cap: float) -> tuple[PsdCertifica
     w = sorted_eigenvalues(np.linalg.eigvals(A))
     gap = _pairwise_gap(w)
     maxdist = float(np.max(dist_to_rplus(w)))
+    issue = partial(PsdCertificate, subject=A, min_eigenvalue=min_eig,
+                    diagonalizability_gap=gap, tolerance=tol, eigenvalues=w, scale=scale)
 
     if _psd_test(A, tol, scale, min_eig):
         d, V = np.linalg.eigh(hermitian_part(A))
         resid = op_norm(V @ np.diag(np.maximum(d, 0.0)) @ V.conj().T - A)
-        return PsdCertificate(
-            subject=A, kind="positive-semidefinite", witness=V,
-            min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
-            witness_condition=1.0, witness_residual=float(resid), eigenvalues=w,
-        ), scale
+        return issue(kind="positive-semidefinite", witness=V,
+                     witness_condition=1.0, witness_residual=float(resid))
 
     if maxdist > tol_abs:
-        return PsdCertificate(
-            subject=A, kind="neither", witness=None,
-            min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
-            diagnostics=f"spectrum leaves [0, inf): max distance {maxdist:.3e} "
-                        f"exceeds {tol_abs:.3e}", eigenvalues=w,
-        ), scale
+        return issue(kind="neither", witness=None,
+                     diagnostics=f"spectrum leaves [0, inf): max distance {maxdist:.3e} "
+                                 f"exceeds {tol_abs:.3e}")
 
     we, V = np.linalg.eig(A)
     sv = np.linalg.svd(V, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    D = we.real
-
     if cond > cond_cap:
-        # plain eigenvectors degenerate (typically repeated eigenvalues);
-        # rebuild the basis from per-cluster null spaces
-        radius = max(tol_abs, 1e-8 * max(1.0, scale))
-        Vc, Dc, ok = _cluster_witness(A, w, radius, scale)
-        if ok:
-            sv = np.linalg.svd(Vc, compute_uv=False)
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-            V, D = Vc, Dc
-        if not ok or cond > cond_cap:
-            return PsdCertificate(
-                subject=A, kind="neither", witness=None,
-                min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
-                diagnostics="no eigenvector basis with condition number below "
-                            f"{cond_cap:.1e}; treating as non-diagonalizable "
-                            f"(closest eigenvalue pair {gap:.3e} apart)",
-                eigenvalues=w,
-            ), scale
+        return issue(kind="neither", witness=None,
+                     diagnostics="no eigenvector basis with condition number below "
+                                 f"{cond_cap:.1e}; treating as non-diagonalizable "
+                                 f"(closest eigenvalue pair {gap:.3e} apart)")
 
-    resid = op_norm(V @ np.diag(D) @ np.linalg.inv(V) - A)
+    resid = op_norm(V @ np.diag(we.real) @ np.linalg.inv(V) - A)
     allowed = tol * max(1.0, cond) * max(1.0, scale)
     if resid > allowed:
-        return PsdCertificate(
-            subject=A, kind="neither", witness=None,
-            min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
-            diagnostics=f"witness reconstruction residual {resid:.3e} exceeds "
-                        f"{allowed:.3e}", eigenvalues=w,
-        ), scale
-    return PsdCertificate(
-        subject=A, kind="similar-to-positive", witness=V,
-        min_eigenvalue=min_eig, diagonalizability_gap=gap, tolerance=tol,
-        witness_condition=cond, witness_residual=float(resid), eigenvalues=w,
-    ), scale
+        return issue(kind="neither", witness=None,
+                     diagnostics=f"witness reconstruction residual {resid:.3e} exceeds "
+                                 f"{allowed:.3e}")
+    return issue(kind="similar-to-positive", witness=V,
+                 witness_condition=cond, witness_residual=float(resid))
 
 
 def hs_inner(X, Y) -> complex:

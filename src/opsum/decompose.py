@@ -40,6 +40,7 @@ spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -445,8 +446,9 @@ class DecompConfig:
     """Knobs for the best-effort pipelines.
 
     ``sep_margin``, ``preprocess_cond_cap`` and ``preprocess_retries`` are
-    accepted, so existing configurations still construct, but no pipeline
-    reads them.
+    deprecated: they are accepted, so existing configurations still
+    construct, but no pipeline reads them, and setting one to a non-default
+    value issues a :class:`DeprecationWarning`.
     """
 
     sep_margin: float = 1e-3
@@ -456,6 +458,13 @@ class DecompConfig:
     search: OptimizationConfig = field(default_factory=lambda: OptimizationConfig(m=3))
     seed: int = 0
     constructive_tol: float = 1e-6
+
+    def __post_init__(self):
+        # the class attributes hold the field defaults
+        for name in ("sep_margin", "preprocess_cond_cap", "preprocess_retries"):
+            if getattr(self, name) != getattr(DecompConfig, name):
+                warnings.warn(f"DecompConfig.{name} is deprecated and ignored; "
+                              "it will be removed", DeprecationWarning, stacklevel=3)
 
 
 def _shortcut(A, m: int):
@@ -510,7 +519,8 @@ def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
 class ThreeTermState:
     """Unknowns of a block-form three-term system.
 
-    Part of the public API, but no pipeline builds it.
+    Deprecated: no pipeline builds it, and constructing one issues a
+    :class:`DeprecationWarning`.
     """
 
     c: tuple
@@ -521,6 +531,10 @@ class ThreeTermState:
     w: np.ndarray
     upper_right: np.ndarray
     preproc_similarity: np.ndarray
+
+    def __post_init__(self):
+        warnings.warn("ThreeTermState is deprecated and unused; it will be removed",
+                      DeprecationWarning, stacklevel=3)
 
 
 def _triangular(T, m: int, config: DecompConfig):

@@ -23,12 +23,10 @@ from scipy.linalg.blas import zgemv, ztrsv
 from scipy.linalg.lapack import dstemr
 
 from .core import (
-    DEFAULT_COND_CAP,
     DEFAULT_TOL,
     PsdCertificate,
     ShapeError,
     SpectrumReport,
-    _certificate_and_scale,
     _spectrum_report,
     as_square_matrix,
     dist_to_rplus,
@@ -36,6 +34,7 @@ from .core import (
     frob,
     is_psd,
     op_norm,
+    positivity_certificate,
 )
 
 __all__ = [
@@ -174,10 +173,10 @@ def hs_positivity(op: ElementaryOperator, tol: float = DEFAULT_TOL) -> HsPositiv
     the spectrum is contained in [0, inf); non-PSD coefficients typically
     yield kind ``"neither"`` with diagnostics.
     """
-    cert, scale = _certificate_and_scale(op.to_matrix(), tol, DEFAULT_COND_CAP)
+    cert = positivity_certificate(op.to_matrix(), tol)
     return HsPositivityReport(
         certificate=cert,
-        spectrum=_spectrum_report(cert.eigenvalues, scale, tol),
+        spectrum=_spectrum_report(cert.eigenvalues, cert.scale, tol),
         coefficients_psd=op.coefficients_psd(tol),
         commuting_side=_commuting_side(op, tol),
     )

@@ -15,6 +15,7 @@ Non-finite values are rejected on both read and write.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -78,9 +79,13 @@ def matrix_from_dict(d, where: str = "matrix") -> np.ndarray:
         _require(isinstance(re, (int, float)) and not isinstance(re, bool)
                  and isinstance(im, (int, float)) and not isinstance(im, bool),
                  f"{where}.entries[{i}]", "re and im must be numbers")
-        _require(np.isfinite(re) and np.isfinite(im),
+        try:
+            z = complex(re, im)
+        except OverflowError:       # a JSON integer beyond the double range
+            z = None
+        _require(z is not None and cmath.isfinite(z),
                  f"{where}.entries[{i}]", "entries must be finite")
-        out[i] = complex(re, im)
+        out[i] = z
     return out.reshape(rows, cols)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,31 @@ def test_usage_errors_exit_1(workdir):
                  "--output", str(workdir / "x.csv"), "--grid", "1,2,3"]) == EXIT_USAGE
     assert main(["luders-demo", "--lambda", "frog",
                  "--output", str(workdir / "x.json")]) == EXIT_USAGE
+
+
+def test_decompose_overflowing_integer_entry_exit_1(workdir):
+    # a JSON integer beyond the double range is a schema error, not a crash
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    path = workdir / "huge.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [[%d, 0]]}' % 10**400)
+    proc = subprocess.run(
+        [sys.executable, "-m", "opsum.cli", "decompose", "--input", str(path),
+         "--output", str(workdir / "x.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert "error:" in proc.stderr and "entries[0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_decompose_three_summands_emits_no_warning(workdir, rng):
+    serialize.save_matrix(workdir / "t.json", rng.standard_normal((3, 3)) + 2 * np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["decompose", "--input", str(workdir / "t.json"),
+                     "--output", str(workdir / "out3.json"), "--summands", "3"])
+    assert code == EXIT_OK
 
 
 def test_module_entry_point(workdir):

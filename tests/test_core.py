@@ -108,6 +108,30 @@ def test_positivity_certificate_planted_family(rng):
                 assert core.is_similar_to_positive(cert), (n, cond, cert.diagnostics)
 
 
+def test_positivity_certificate_jordan_block():
+    # defective: eig's eigenvector matrix is singular to working precision
+    cert = core.positivity_certificate(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert cert.kind == "neither"
+    assert cert.witness is None
+    assert cert.diagnostics.startswith("no eigenvector basis with condition number below")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), mult=st.integers(2, 8),
+       cond=st.sampled_from([1.0, 10.0, 1e2, 1e3, 1e4]), seed=st.integers(0, 2**32 - 1))
+def test_positivity_certificate_repeated_eigenvalue_property(n, mult, cond, seed):
+    # one eigenvalue of multiplicity >= 2 under a similarity of cond <= 1e4:
+    # eig's eigenvector basis alone must certify it
+    rng = np.random.default_rng(seed)
+    S = random_invertible(rng, n, cond=cond)
+    d = rng.uniform(0.0, 3.0, size=n)
+    d[:min(mult, n)] = d[0]
+    A = (S * d) @ np.linalg.inv(S)
+    cert = core.positivity_certificate(A)
+    assert core.is_similar_to_positive(cert), cert.diagnostics
+    assert cert.scale == core.op_norm(A)
+
+
 def test_certificate_records_tolerance():
     cert = core.positivity_certificate(np.eye(2), tol=1e-7)
     assert cert.tolerance == 1e-7

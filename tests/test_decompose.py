@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from opsum.decompose import (
     FourSummandParams,
     ObstructionCertificate,
     ParameterError,
+    ThreeTermState,
     check_obstruction,
     four_summands,
     make_summand,
@@ -218,6 +220,39 @@ def test_verify_rejects_nilpotent_summand(rng):
     assert not report.passed
 
 
+def _hand_built(S, P) -> tuple[np.ndarray, DecompositionResult]:
+    """A one-summand result S P S^-1 and its own value as the target."""
+    s = make_summand(S, P)
+    result = DecompositionResult(
+        summands=(s,), reconstruction_residual=0.0, spectra_point_counts=(2,),
+        pairwise_spectra_gap=np.inf, product_form=((np.eye(2), s.value),),
+        method="hand-built")
+    return s.value, result
+
+
+def test_verify_fails_non_psd_middle():
+    T, result = _hand_built(np.eye(2), np.diag([1.0, -0.5]))
+    checks = {c.name: c for c in verify_decomposition(T, result).checks}
+    assert checks["reconstruction"].passed
+    assert not checks["middle-blocks-psd"].passed
+    assert checks["middle-blocks-psd"].measured == -0.5
+    assert not checks["summands-similar-to-positive"].passed
+    assert checks["summands-similar-to-positive"].detail.startswith("summand 0: neither")
+
+
+def test_verify_fails_ill_conditioned_summand():
+    # S P S^-1 is about [[1, 1], [0, 1]]: a PSD middle behind a similarity of
+    # cond 1e12 gives a value whose eigenvector basis exceeds the cap
+    S = np.array([[1.0, 1.0], [0.0, 1e-12]])
+    T, result = _hand_built(S, np.diag([1.0, 1.0 + 1e-12]))
+    assert np.allclose(T, [[1.0, 1.0], [0.0, 1.0]], atol=1e-3)
+    checks = {c.name: c for c in verify_decomposition(T, result).checks}
+    assert checks["middle-blocks-psd"].passed
+    sim = checks["summands-similar-to-positive"]
+    assert not sim.passed
+    assert "no eigenvector basis with condition number below 1.0e+08" in sim.detail
+
+
 # --- positive products ------------------------------------------------------
 
 def test_to_positive_product_identity_similarity(rng):
@@ -418,6 +453,26 @@ def test_zero_diagonalization_failure_declines(rng, monkeypatch):
             == "zero-diagonalization failed: zero-diagonalization stalled")
     with pytest.raises(RuntimeError, match="zero-diagonalization failed"):
         two_summands(T, DecompConfig(allow_search_fallback=False))
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("sep_margin", 1e-2), ("preprocess_cond_cap", 1e3), ("preprocess_retries", 2)])
+def test_decomp_config_unread_fields_deprecated(field_name, value):
+    with pytest.warns(DeprecationWarning, match=f"DecompConfig.{field_name}"):
+        DecompConfig(**{field_name: value})
+
+
+def test_decomp_config_defaults_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        DecompConfig()
+        DecompConfig(seed=3, allow_search_fallback=False)
+
+
+def test_three_term_state_deprecated():
+    with pytest.warns(DeprecationWarning, match="ThreeTermState"):
+        ThreeTermState(c=(), b=(), u=(), a=(), v=np.zeros(1), w=np.zeros(1),
+                       upper_right=np.zeros((1, 1)), preproc_similarity=np.eye(1))
 
 
 # --- sum of products --------------------------------------------------------

@@ -152,6 +152,23 @@ def test_hs_positivity_commuting_side(rng):
     assert rep.spectrum.max_dist_to_rplus <= 1e-9 * max(1.0, op_norm(op.to_matrix()))
 
 
+def test_hs_positivity_commuting_right_side(rng):
+    # the length-two case with generic PSD A_j and commuting diagonal PSD B_j
+    n = 3
+    A1, A2 = random_psd(rng, n), random_psd(rng, n)
+    B1, B2 = np.diag(rng.uniform(0.5, 2.0, n)), np.diag(rng.uniform(0.5, 2.0, n))
+    op = ElementaryOperator.build([(A1, B1), (A2, B2)])
+    rep = hs_positivity(op)
+    assert rep.commuting_side == "right"
+    assert rep.spectrum.is_real_nonnegative
+
+
+def test_hs_positivity_certificate_records_scale(rng):
+    op = ElementaryOperator.build([(random_complex(rng, 3), random_psd(rng, 3))
+                                   for _ in range(2)])
+    assert hs_positivity(op).certificate.scale == op_norm(op.to_matrix())
+
+
 def test_hs_positivity_non_psd_coefficient():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     op = ElementaryOperator.build([(N, np.eye(2))])

@@ -56,6 +56,15 @@ def test_nonfinite_rejected_on_read():
         serialize.matrix_from_dict(json.loads(text))
 
 
+def test_integer_entries_beyond_int64():
+    doc = json.loads('{"rows": 1, "cols": 1, "entries": [[%d, 0]]}' % 2**70)
+    assert serialize.matrix_from_dict(doc)[0, 0] == 1.1805916207174113e21
+    doc = json.loads('{"rows": 1, "cols": 1, "entries": [[0, %d]]}' % 10**400)
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.matrix_from_dict(doc, "T")
+    assert "T.entries[0]" in str(err.value) and "finite" in str(err.value)
+
+
 def test_pairs_round_trip(rng, tmp_path):
     pairs = [(random_complex(rng, 2), random_complex(rng, 2)) for _ in range(3)]
     path = tmp_path / "pairs.json"
