@@ -1,9 +1,9 @@
 """opsum: sums of products of positive matrices at finite scale.
 
 Decompositions of complex matrices into summands similar to positive
-semidefinite matrices, the block/Sylvester/commutator solvers they ride on,
-spectra and positivity of elementary operators with PSD coefficients, and
-search experiments bounded by the trace obstruction.
+semidefinite matrices, zero-diagonalization, commutator, block and
+Sylvester solvers, spectra and positivity of elementary operators with PSD
+coefficients, and search experiments bounded by the trace obstruction.
 """
 
 from .core import (

@@ -40,7 +40,6 @@ spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,7 +71,6 @@ __all__ = [
     "FourSummandParams",
     "DecompConfig",
     "ParameterError",
-    "ThreeTermState",
     "VerificationReport",
     "make_summand",
     "check_obstruction",
@@ -115,9 +113,7 @@ def make_summand(S, P) -> SimilaritySummand:
 class ObstructionCertificate:
     """Machine-checkable reason a decomposition cannot exist.
 
-    Reasons: ``non-real-trace`` and ``nonpositive-real-trace`` are issued by
-    the trace argument; ``not-representable`` is a reserved diagnostic for
-    constructive-path callers.
+    Issued by the trace argument: ``non-real-trace`` or ``nonpositive-real-trace``.
     """
 
     reason: str
@@ -443,28 +439,16 @@ def four_summands(
 
 @dataclass(frozen=True)
 class DecompConfig:
-    """Knobs for the best-effort pipelines.
-
-    ``sep_margin``, ``preprocess_cond_cap`` and ``preprocess_retries`` are
-    deprecated: they are accepted, so existing configurations still
-    construct, but no pipeline reads them, and setting one to a non-default
-    value issues a :class:`DeprecationWarning`.
+    """Knobs for the best-effort pipelines: ``allow_search_fallback``,
+    ``search`` (run with ``m`` and ``seed`` replaced by the summand count and
+    ``seed``; see :func:`_search_result`) and ``constructive_tol``, the
+    triangular split's largest relative reconstruction residual.
     """
 
-    sep_margin: float = 1e-3
-    preprocess_cond_cap: float = 1e6
-    preprocess_retries: int = 8
     allow_search_fallback: bool = True
     search: OptimizationConfig = field(default_factory=lambda: OptimizationConfig(m=3))
     seed: int = 0
     constructive_tol: float = 1e-6
-
-    def __post_init__(self):
-        # the class attributes hold the field defaults
-        for name in ("sep_margin", "preprocess_cond_cap", "preprocess_retries"):
-            if getattr(self, name) != getattr(DecompConfig, name):
-                warnings.warn(f"DecompConfig.{name} is deprecated and ignored; "
-                              "it will be removed", DeprecationWarning, stacklevel=3)
 
 
 def _shortcut(A, m: int):
@@ -515,28 +499,6 @@ def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
     })
 
 
-@dataclass(frozen=True)
-class ThreeTermState:
-    """Unknowns of a block-form three-term system.
-
-    Deprecated: no pipeline builds it, and constructing one issues a
-    :class:`DeprecationWarning`.
-    """
-
-    c: tuple
-    b: tuple
-    u: tuple
-    a: tuple
-    v: np.ndarray
-    w: np.ndarray
-    upper_right: np.ndarray
-    preproc_similarity: np.ndarray
-
-    def __post_init__(self):
-        warnings.warn("ThreeTermState is deprecated and unused; it will be removed",
-                      DeprecationWarning, stacklevel=3)
-
-
 def _triangular(T, m: int, config: DecompConfig):
     """Two or three summands from the zero-diagonal form of T - cI, c = tr T / n.
 
@@ -570,11 +532,12 @@ def _triangular(T, m: int, config: DecompConfig):
             return None, f"cond(S) {s.condition_number:.1e} above {DEFAULT_COND_CAP:.0e}"
         summands.append(s)
     summands += summands[-1:] * (m - 2)   # for m = 3 the two halves are one summand
-    residual = frob(sum(s.value for s in summands) - T) / frob(T)
+    result = _finish(T, summands, "constructive",
+                     {"note": "triangular split of the zero-diagonal form"})
+    residual = result.reconstruction_residual
     if not residual <= config.constructive_tol:
         return None, f"reconstruction {residual:.1e} above {config.constructive_tol:.0e}"
-    return _finish(T, summands, "constructive",
-                   {"note": "triangular split of the zero-diagonal form"}), None
+    return result, None
 
 
 def _best_effort(T, m: int, config: DecompConfig | None):

@@ -1,6 +1,7 @@
-"""Equation solvers consumed by the decomposition pipelines.
+"""Block, Sylvester and commutator equation solvers.
 
-Three solvers live here:
+Three solvers live here; the decomposition pipelines call only the third
+and its zero-diagonalization:
 
 * :func:`block_inverse` inverts a 2x2 block matrix through the Schur
   complement of its leading block.
@@ -384,16 +385,12 @@ def commutator_solve(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> Commut
     Raises
     ------
     NonzeroTraceError
-        For any input whose trace exceeds the zero-trace gate; every
-        commutator has zero trace, so such inputs admit no factorization.
+        From :func:`zero_diagonalize`, for any input whose trace exceeds the
+        zero-trace gate: every commutator has zero trace.
     """
     A = as_square_matrix(T0, "T0")
     n = A.shape[0]
     scale = max(1.0, frob(A))
-    tr = complex(np.trace(A))
-    if abs(tr) > config.trace_tol * scale:
-        raise NonzeroTraceError(tr, config.trace_tol * scale)
-
     if frob(A) == 0.0:
         zero = np.zeros_like(A)
         return CommutatorSolution(zero, zero.copy(), 0.0, np.eye(n, dtype=complex))

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opsum.decompose
 from opsum.core import frob, is_psd, is_similar_to_positive, op_norm, positivity_certificate
 from opsum.decompose import (
     DecompConfig,
@@ -12,7 +14,6 @@ from opsum.decompose import (
     FourSummandParams,
     ObstructionCertificate,
     ParameterError,
-    ThreeTermState,
     check_obstruction,
     four_summands,
     make_summand,
@@ -159,6 +160,20 @@ def test_zero_target_statistics(split, m):
         assert np.array_equal(A, np.eye(4)) and np.array_equal(B, np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("n, margin", [(2, 2.2127), (8, 4.5)])
+def test_four_summands_nudges_weights_apart(n, margin):
+    # at these traces the first middle block's eigenvalue 1 lands on one of
+    # the default b_j or a_j, so the weights must be nudged to separate them
+    T = random_real_trace(np.random.default_rng(n), n, margin * n)
+    result = four_summands(T)
+    diagnostics = result.diagnostics
+    assert diagnostics["b_weights"] != (0.2, 0.3, 0.5)
+    assert result.pairwise_spectra_gap >= diagnostics["sep_margin"]
+    report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=2,
+                                  min_pairwise_gap=diagnostics["sep_margin"])
+    assert report.passed, report.failures()
+
+
 def test_four_summands_two_point_mode(rng):
     T = random_real_trace(rng, 8, trace=6.0)
     result = four_summands(T, FourSummandParams(a1_mode="two-point"))
@@ -303,8 +318,8 @@ def test_three_summands_certificates():
 
 
 def test_three_summands_constructive_block_case(rng):
-    # block target [[A', B'], [C', 0]] with positive-real-spectrum A' and
-    # invertible B' admits the constructive path
+    # a block target [[A', B'], [C', 0]] is not similar to positive, so it
+    # takes the triangular split
     Ap = np.diag([1.0, 2.0]).astype(complex)
     Bp = np.diag([1.0, 2.0]).astype(complex)
     Cp = random_complex(rng, 2)
@@ -321,14 +336,15 @@ def test_three_summands_planted_fallback():
     T, _ = planted_summand_sum(rng, 4, 3)
     result = three_summands(T, search_config(3, seed=5))
     assert isinstance(result, DecompositionResult)
+    assert result.method == "constructive"
     assert result.reconstruction_residual <= 1e-2
     report = verify_decomposition(T, result, tol=1e-2)
     assert report.passed, report.failures()
 
 
 def test_three_summands_n2_constructive(rng):
-    # at n = 2 the preprocessed leading block is the scalar trace, so the
-    # constructive path covers every generic real-positive-trace target
+    # a real 2x2 target with complex eigenvalues is not similar to positive,
+    # so it takes the triangular split
     T = np.array([[1.0, 4.0], [-3.0, 1.0]])
     result = three_summands(T, DecompConfig(allow_search_fallback=False))
     assert result.method == "constructive"
@@ -455,11 +471,13 @@ def test_zero_diagonalization_failure_declines(rng, monkeypatch):
         two_summands(T, DecompConfig(allow_search_fallback=False))
 
 
-@pytest.mark.parametrize("field_name, value", [
-    ("sep_margin", 1e-2), ("preprocess_cond_cap", 1e3), ("preprocess_retries", 2)])
-def test_decomp_config_unread_fields_deprecated(field_name, value):
-    with pytest.warns(DeprecationWarning, match=f"DecompConfig.{field_name}"):
-        DecompConfig(**{field_name: value})
+@pytest.mark.parametrize("field_name", [
+    "sep_margin", "preprocess_cond_cap", "preprocess_retries"])
+def test_decomp_config_removed_fields_rejected(field_name):
+    assert [f.name for f in dataclasses.fields(DecompConfig)] == [
+        "allow_search_fallback", "search", "seed", "constructive_tol"]
+    with pytest.raises(TypeError, match=field_name):
+        DecompConfig(**{field_name: 1})
 
 
 def test_decomp_config_defaults_do_not_warn():
@@ -469,10 +487,8 @@ def test_decomp_config_defaults_do_not_warn():
         DecompConfig(seed=3, allow_search_fallback=False)
 
 
-def test_three_term_state_deprecated():
-    with pytest.warns(DeprecationWarning, match="ThreeTermState"):
-        ThreeTermState(c=(), b=(), u=(), a=(), v=np.zeros(1), w=np.zeros(1),
-                       upper_right=np.zeros((1, 1)), preproc_similarity=np.eye(1))
+def test_three_term_state_removed():
+    assert not hasattr(opsum.decompose, "ThreeTermState")
 
 
 # --- sum of products --------------------------------------------------------

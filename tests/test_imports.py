@@ -1,10 +1,15 @@
-"""Every module-level import in the package is used by its module.
+"""Module-level names in the package match their uses and exports.
 
-An import left behind by a deletion keeps dead names alive, so this check
+An import left behind by a deletion keeps dead names alive, so one check
 parses each module of ``src/opsum`` and fails on any module-level import
 whose bound name is never referenced.  ``__init__.py`` (whose imports are
 re-exports) and ``from __future__`` imports are exempt; a name listed in
 the module's ``__all__`` counts as used.
+
+A deletion can also leave its name in ``__all__``, which breaks
+``from module import *`` with an AttributeError, so the other check fails
+on any ``__all__`` entry that no def, class, assignment or import binds at
+module level.
 """
 
 import ast
@@ -13,7 +18,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opsum"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module):
@@ -31,6 +37,22 @@ def _imported_names(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names bound at module level, try/if bodies included."""
+    names = {name for name, _ in _imported_names(tree)}
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -46,3 +68,10 @@ def test_no_unused_module_level_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported_names(tree)
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unbound = sorted(_exported(tree) - _bound_names(tree))
+    assert not unbound, f"{path.name} lists names in __all__ it never binds: {', '.join(unbound)}"

@@ -258,6 +258,9 @@ def test_commutator_rejects_shifted(rng):
             with pytest.raises(NonzeroTraceError) as err:
                 commutator_solve(T0)
             assert "zero trace" in str(err.value)
+            # the gate's bound is trace_tol * max(1, ||T0||_F)
+            bound = 1e-10 * max(1.0, frob(T0))
+            assert str(err.value) == str(NonzeroTraceError(complex(np.trace(T0)), bound))
 
 
 def test_commutator_hermitian_and_psd_inputs(rng):
