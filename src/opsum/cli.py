@@ -93,7 +93,7 @@ def _certificate_dict(cert: ObstructionCertificate) -> dict:
 def _result_dict(result: DecompositionResult) -> dict:
     certificates = []
     for s in result.summands:
-        c = positivity_certificate(s.value, tol=1e-8)
+        c = positivity_certificate(s.value, tol=1e-8, witness=s.candidate_witness())
         certificates.append({
             "kind": c.kind,
             "min_eigenvalue": float(c.min_eigenvalue),

@@ -170,24 +170,69 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
     """Test positive semidefiniteness at a relative tolerance.
 
     True iff ``M`` is Hermitian within ``tol * ||M||`` and the smallest
-    eigenvalue of its Hermitian part is at least ``-tol * ||M||``.
+    eigenvalue of its Hermitian part is at least ``-tol * ||M||``.  Both
+    comparisons are screened in O(n^2) before any SVD runs (see
+    :func:`_psd_test`); the verdict is the one the exact norms give.
     """
-    A = as_square_matrix(M)
-    return _psd_test(A, tol, op_norm(A))
+    return _psd_test(as_square_matrix(M), tol)
 
 
-def _psd_test(A: np.ndarray, tol: float, scale: float, lam_min: float | None = None) -> bool:
-    """The PSD verdict of :func:`is_psd` given ``scale = ||A||``.
+#: Relative margin by which an O(n^2) screen of :func:`_psd_test` must clear
+#: its threshold; closer calls, rounding ties included, go to the exact SVDs.
+_SCREEN_MARGIN = 1e-6
 
-    ``lam_min``, the smallest eigenvalue of the Hermitian part, is computed
-    here only when the Hermitian test passes and the caller does not have it.
+
+def _scaled_frob(X: np.ndarray) -> float:
+    """Frobenius norm with the entries scaled to at most 1, so no square underflows."""
+    m = float(np.max(np.abs(X)))
+    return m * frob(X / m) if m > 0.0 else 0.0
+
+
+def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
+              lam_min: float | None = None) -> bool:
+    """The PSD verdict of :func:`is_psd`, given ``scale = ||A||`` and ``lam_min``,
+    the smallest eigenvalue of the Hermitian part, when the caller has them.
+
+    Both comparisons with ``tol * ||A||`` are screened in O(n^2) first.  The
+    defect ``||A - A*||`` lies in [F / sqrt(n), F] with F = ||A - A*||_F.
+    Without ``scale``, ``||A||`` lies in [||A||_F / sqrt(n), ||A||_F] and
+    within F / 2 of the largest eigenvalue modulus h of the Hermitian part,
+    which the ``eigvalsh`` for ``lam_min`` yields.  A screen decides only
+    when it clears its threshold by the relative margin ``_SCREEN_MARGIN``;
+    otherwise the exact SVDs run.
     """
-    if scale == 0.0:
+    if not A.any():
         return True
-    if op_norm(A - A.conj().T) > tol * scale:
+    margin = _SCREEN_MARGIN
+    root_n = math.sqrt(A.shape[0])
+    D = A - A.conj().T
+    defect = _scaled_frob(D)
+    if scale is None:
+        hi = _scaled_frob(A)
+        lo = hi / root_n
+    else:
+        lo = hi = scale
+    if defect / root_n > tol * hi * (1.0 + margin):
         return False
     if lam_min is None:
-        lam_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
+        w = np.linalg.eigvalsh(hermitian_part(A))
+        lam_min = float(w[0])
+        h = max(-w[0], w[-1])
+        lo, hi = max(lo, h - defect / 2.0), min(hi, h + defect / 2.0)
+    if defect * (1.0 + margin) > tol * lo:
+        if defect / root_n > tol * hi * (1.0 + margin):
+            return False
+        if scale is None:
+            scale = op_norm(A)
+        lo = hi = scale
+        if op_norm(D) > tol * scale:
+            return False
+    if lam_min >= -tol * lo * (1.0 - margin):
+        return True
+    if lam_min < -tol * hi * (1.0 + margin):
+        return False
+    if scale is None:
+        scale = op_norm(A)
     return lam_min >= -tol * scale
 
 
@@ -198,15 +243,20 @@ class PsdCertificate:
     ``kind`` is one of ``"positive-semidefinite"``, ``"similar-to-positive"``
     or ``"neither"``.  For the similarity kinds, ``witness`` holds an
     invertible V with V^-1 @ subject @ V diagonal, real and nonnegative
-    (within tolerance); ``witness_residual`` is the verified reconstruction
-    error ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V).
+    (within tolerance): the eigenvectors of the Hermitian part for the PSD
+    kind; for ``"similar-to-positive"`` either the caller's candidate with
+    its columns scaled to unit norm or the eigenvector matrix from ``eig``.
+    ``witness_residual`` is the verified reconstruction error
+    ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V).
     ``min_eigenvalue`` always refers to the Hermitian part,
     ``diagonalizability_gap`` is the smallest distance between two distinct
-    eigenvalues (a conditioning diagnostic, inf for 1x1).  ``tolerance`` is
-    the relative tolerance the verdict was issued at and ``scale`` the
-    operator norm ``||subject||`` it was scaled by: spectral distances are
-    compared with ``tolerance * max(1, scale)``.  ``eigenvalues`` holds the
-    subject's eigenvalues sorted by (Re, Im).
+    entries of ``eigenvalues`` (a conditioning diagnostic, inf for 1x1).
+    ``tolerance`` is the relative tolerance the verdict was issued at and
+    ``scale`` the operator norm ``||subject||`` it was scaled by: spectral
+    distances are compared with ``tolerance * max(1, scale)``.
+    ``eigenvalues`` holds the subject's eigenvalues sorted by (Re, Im); when
+    a candidate witness is accepted they are its sorted diagonal
+    d = Re diag(V^-1 @ subject @ V), and neither ``eig`` nor ``eigvals`` runs.
     """
 
     subject: np.ndarray
@@ -239,63 +289,110 @@ def positivity_certificate(
     M,
     tol: float = DEFAULT_TOL,
     cond_cap: float = DEFAULT_COND_CAP,
+    witness=None,
 ) -> PsdCertificate:
     """Classify a matrix as PSD, similar to a positive matrix, or neither.
 
     A square matrix is similar to a positive semidefinite one exactly when it
     is diagonalizable with spectrum in [0, inf).  Numerically the spectrum
     condition is ``dist(lambda, R+) <= tol * max(1, ||M||)`` for every
-    eigenvalue, and diagonalizability means some eigenvector matrix has
-    condition number at most ``cond_cap``.  The one basis tried is the
-    eigenvector matrix from ``numpy.linalg.eig``; when its condition number
-    exceeds ``cond_cap`` the matrix is treated as non-diagonalizable and
-    reported as ``"neither"`` with a diagnostic string.  The certificate
-    records ``tol`` as ``tolerance`` and ``||M||`` as ``scale``.
-
-    The witness reconstruction ``||V D V^-1 - M||`` is checked against
+    eigenvalue, and diagonalizability means some basis V of condition number
+    at most ``cond_cap`` reconstructs ``M`` as ``V diag(d) V^-1`` to within
     ``tol * cond(V) * max(1, ||M||)``; the conditioning factor is required
     because a residual bound independent of cond(V) is not achievable in
-    floating point near the condition cap.
+    floating point near the condition cap.  The certificate records ``tol``
+    as ``tolerance`` and ``||M||`` as ``scale``.
+
+    ``witness`` is an optional candidate basis, such as S W for a summand
+    S P S^-1 with P = W diag(p) W*.  Its columns are scaled to unit norm
+    (which leaves V^-1 M V diagonal and can lower cond(V) by orders of
+    magnitude), and it is accepted when cond(V) <= ``cond_cap``, every
+    d = Re diag(V^-1 M V) is at least ``-tol * max(1, ||M||)`` and the
+    reconstruction bound above holds; then neither ``eig`` nor ``eigvals``
+    runs on ``M``.
+    Otherwise the one basis tried is the eigenvector matrix from
+    ``numpy.linalg.eig``, whose eigenvalues decide the spectrum condition.
+    Without a candidate, ``numpy.linalg.eigvals`` decides the spectrum first
+    and ``eig`` runs only when it lies in [0, inf).  A basis above
+    ``cond_cap`` makes the matrix count as non-diagonalizable, reported as
+    ``"neither"`` with a diagnostic string.
     """
     A = as_square_matrix(M)
     scale = op_norm(A)
     tol_abs = tol * max(1.0, scale)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(A))[0])
-
-    w = sorted_eigenvalues(np.linalg.eigvals(A))
-    gap = _pairwise_gap(w)
-    maxdist = float(np.max(dist_to_rplus(w)))
     issue = partial(PsdCertificate, subject=A, min_eigenvalue=min_eig,
-                    diagonalizability_gap=gap, tolerance=tol, eigenvalues=w, scale=scale)
+                    tolerance=tol, scale=scale)
+
+    def spectrum(w):
+        w = sorted_eigenvalues(w)
+        return {"eigenvalues": w, "diagonalizability_gap": _pairwise_gap(w)}
 
     if _psd_test(A, tol, scale, min_eig):
         d, V = np.linalg.eigh(hermitian_part(A))
         resid = op_norm(V @ np.diag(np.maximum(d, 0.0)) @ V.conj().T - A)
         return issue(kind="positive-semidefinite", witness=V,
-                     witness_condition=1.0, witness_residual=float(resid))
+                     witness_condition=1.0, witness_residual=float(resid),
+                     **spectrum(np.linalg.eigvals(A)))
 
+    rejected = ""
+    if witness is None:
+        w = np.linalg.eigvals(A)
+        V = None
+    else:
+        V = as_square_matrix(witness, "witness")
+        if V.shape != A.shape:
+            raise ShapeError(f"witness shape {V.shape} does not match {A.shape}")
+        norms = np.linalg.norm(V, axis=0)
+        V = V / np.where(norms > 0.0, norms, 1.0)
+        cond = _condition(V)
+        if cond > cond_cap:
+            rejected = f"condition number {cond:.3e} above {cond_cap:.1e}"
+        else:
+            Vinv = np.linalg.inv(V)
+            d = np.real(np.einsum("ij,ji->i", Vinv @ A, V))
+            resid = op_norm((V * d) @ Vinv - A)
+            allowed = tol * max(1.0, cond) * max(1.0, scale)
+            if d.min() < -tol_abs:
+                rejected = f"diagonal entry {d.min():.3e} below {-tol_abs:.3e}"
+            elif resid > allowed:
+                rejected = f"reconstruction residual {resid:.3e} exceeds {allowed:.3e}"
+            else:
+                return issue(kind="similar-to-positive", witness=V, witness_condition=cond,
+                             witness_residual=float(resid), **spectrum(d))
+        rejected = f"candidate witness rejected: {rejected}; "
+        w, V = np.linalg.eig(A)
+
+    fields = spectrum(w)
+    neither = partial(issue, kind="neither", witness=None, **fields)
+    maxdist = float(np.max(dist_to_rplus(w)))
     if maxdist > tol_abs:
-        return issue(kind="neither", witness=None,
-                     diagnostics=f"spectrum leaves [0, inf): max distance {maxdist:.3e} "
-                                 f"exceeds {tol_abs:.3e}")
+        return neither(diagnostics=f"{rejected}spectrum leaves [0, inf): max distance "
+                                   f"{maxdist:.3e} exceeds {tol_abs:.3e}")
 
-    we, V = np.linalg.eig(A)
-    sv = np.linalg.svd(V, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    we = w
+    if V is None:
+        we, V = np.linalg.eig(A)
+    cond = _condition(V)
     if cond > cond_cap:
-        return issue(kind="neither", witness=None,
-                     diagnostics="no eigenvector basis with condition number below "
-                                 f"{cond_cap:.1e}; treating as non-diagonalizable "
-                                 f"(closest eigenvalue pair {gap:.3e} apart)")
+        return neither(diagnostics=f"{rejected}no eigenvector basis with condition number "
+                                   f"below {cond_cap:.1e}; treating as non-diagonalizable "
+                                   f"(closest eigenvalue pair "
+                                   f"{fields['diagonalizability_gap']:.3e} apart)")
 
     resid = op_norm(V @ np.diag(we.real) @ np.linalg.inv(V) - A)
     allowed = tol * max(1.0, cond) * max(1.0, scale)
     if resid > allowed:
-        return issue(kind="neither", witness=None,
-                     diagnostics=f"witness reconstruction residual {resid:.3e} exceeds "
-                                 f"{allowed:.3e}")
-    return issue(kind="similar-to-positive", witness=V,
-                 witness_condition=cond, witness_residual=float(resid))
+        return neither(diagnostics=f"{rejected}witness reconstruction residual {resid:.3e} "
+                                   f"exceeds {allowed:.3e}")
+    return issue(kind="similar-to-positive", witness=V, witness_condition=cond,
+                 witness_residual=float(resid), diagnostics=rejected.removesuffix("; "), **fields)
+
+
+def _condition(V: np.ndarray) -> float:
+    """cond(V) in the 2-norm, inf for a singular V."""
+    sv = np.linalg.svd(V, compute_uv=False)
+    return float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
 
 def hs_inner(X, Y) -> complex:

@@ -99,6 +99,11 @@ class SimilaritySummand:
     value: np.ndarray
     condition_number: float
 
+    def candidate_witness(self) -> np.ndarray:
+        """S W with P = W diag(p) W* from ``eigh``: a basis that diagonalizes
+        S P S^-1 when P is Hermitian, for :func:`positivity_certificate`."""
+        return self.S @ np.linalg.eigh(self.P)[1]
+
 
 def make_summand(S, P) -> SimilaritySummand:
     """Build a summand, caching its value and the similarity conditioning."""
@@ -630,7 +635,9 @@ def verify_decomposition(
     Nothing cached in the result is trusted: summand values are rebuilt from
     (S, P), the reconstruction residual is recomputed, each middle block is
     re-tested for positive semidefiniteness, each summand value is
-    re-certified similar to positive, and the product form is re-multiplied.
+    re-certified similar to positive (the candidate witness S W, with W from
+    ``eigh(P)``, is checked against the recomputed value, and ``eig`` runs
+    only when it fails), and the product form is re-multiplied.
     Optional spectrum-count and gap thresholds cover the four-summand
     contract.  Failures are report entries, not exceptions.
     """
@@ -666,8 +673,8 @@ def verify_decomposition(
     sim_ok = True
     worst_kind = ""
     spectra = []
-    for i, v in enumerate(values):
-        cert = positivity_certificate(v, tol=1e-8)
+    for i, (s, v) in enumerate(zip(result.summands, values)):
+        cert = positivity_certificate(v, tol=1e-8, witness=s.candidate_witness())
         spectra.append(cert.eigenvalues)
         if not is_similar_to_positive(cert):
             sim_ok = False

@@ -179,7 +179,7 @@ def test_matching_distance():
         core.matching_distance([1.0], [1.0, 2.0])
 
 
-def _psd_test_subject(kind, n, seed):
+def _psd_test_subject(kind, n, seed, tol=1e-9):
     rng = np.random.default_rng(seed)
     if kind == "zero":
         return np.zeros((n, n), dtype=complex)
@@ -194,9 +194,26 @@ def _psd_test_subject(kind, n, seed):
     # the verdict for the tolerances drawn below
     U = random_unitary(rng, n)
     d = rng.uniform(0.5, 1.0, size=n)
-    d[0] = 1e-10 if kind == "near-psd-above" else -1e-10
+    d[0] = 1e-10 if kind in ("near-psd-above", "band") else -1e-10
     M = (U * d) @ U.conj().T
-    return (M + M.conj().T) / 2.0
+    M = (M + M.conj().T) / 2.0
+    if not kind.startswith(("skew", "band")):
+        return M
+    # near-Hermitian: M + K with K skew-Hermitian, so the defect ||A - A*|| is
+    # 2 ||K||.  "skew-<c>" sets it to c tol ||M||; "band" spreads the
+    # singular values of K and puts tol ||M|| at a random point between
+    # ||A - A*||_F / sqrt(n) and ||A - A*||_F, where no O(n^2) bound decides
+    V = random_unitary(rng, n)
+    if kind == "band":
+        s = rng.uniform(0.0, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        s[0] = 1.0
+        K = 1j * (V * s) @ V.conj().T
+        F = 2.0 * np.linalg.norm(K)
+        target = tol * core.op_norm(M)
+        return M + K * target / (F * rng.uniform(1.0 / np.sqrt(n), 1.0))
+    c = float(kind.split("-")[1])
+    K = 1j * (V[:, :1] * rng.choice([-1.0, 1.0])) @ V[:, :1].conj().T
+    return M + K * c * tol * core.op_norm(M) / 2.0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -209,3 +226,117 @@ def test_is_psd_agrees_with_certificate(kind, n, seed, tol):
     cert = core.positivity_certificate(M, tol)
     assert core.is_psd(M, tol) == (cert.kind == "positive-semidefinite")
     assert cert.min_eigenvalue == np.linalg.eigvalsh(core.hermitian_part(M))[0]
+
+
+def _is_psd_two_svds(M, tol):
+    """The PSD verdict from the exact norms ||M|| and ||M - M*||, two SVDs."""
+    scale = np.linalg.norm(M, 2)
+    if scale == 0.0:
+        return True
+    if np.linalg.norm(M - M.conj().T, 2) > tol * scale:
+        return False
+    return np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0] >= -tol * scale
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["skew-0.5", "skew-0.99", "skew-1.01", "skew-2", "band",
+                             "hermitian", "psd", "near-psd-above", "near-psd-below",
+                             "non-hermitian", "zero"]),
+       n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8]))
+def test_is_psd_screens_agree_with_exact_norms(kind, n, seed, tol):
+    # the O(n^2) screens decide only with room to spare, so every verdict,
+    # near-Hermitian subjects on either side of the defect threshold included,
+    # is the one two SVDs give
+    M = _psd_test_subject(kind, n, seed, tol)
+    assert core.is_psd(M, tol) == _is_psd_two_svds(M, tol)
+    assert (core.positivity_certificate(M, tol).kind == "positive-semidefinite") \
+        == _is_psd_two_svds(M, tol)
+
+
+@pytest.mark.parametrize("c, expected", [(0.5, True), (0.99, True), (1.01, False), (2.0, False)])
+def test_is_psd_defect_threshold(c, expected):
+    # the skew subjects land on the side of the threshold that c says
+    M = _psd_test_subject(f"skew-{c}", 6, 3, 1e-9)
+    assert core.is_psd(M, 1e-9) is expected
+
+
+def test_is_psd_tiny_entries_keep_exact_verdict():
+    # a defect whose squares underflow in a plain Frobenius norm
+    M = 1e-170 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert not core.is_psd(M)
+    assert core.is_psd(1e-170 * np.eye(3))
+
+
+def _lifted_summand(y_scale):
+    """S P S^-1 for S = [[I, x], [y, I + y x]], P = diag(0.3 I, 0.8 I), k = 32."""
+    k = 32
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    y = y_scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    eye = np.eye(k)
+    S = np.block([[eye, x], [y, eye + y @ x]])
+    P = np.diag(np.repeat([0.3, 0.8], k)).astype(complex)
+    return S, P, np.linalg.solve(S.T, (S @ P).T).T
+
+
+def test_certificate_accepts_summand_witness_where_eig_basis_fails():
+    # eig picks an arbitrary basis of each 32-dimensional eigenspace, above
+    # the cap; the summand's own S W, scaled to unit columns, is below it
+    S, P, v = _lifted_summand(100.0)
+    assert core.positivity_certificate(v, 1e-8).kind == "neither"
+    W = np.linalg.eigh(P)[1]
+    cert = core.positivity_certificate(v, 1e-8, witness=S @ W)
+    assert cert.kind == "similar-to-positive", cert.diagnostics
+    assert cert.witness_condition <= 1e8
+    assert np.allclose(np.linalg.norm(cert.witness, axis=0), 1.0)
+    assert np.array_equal(cert.eigenvalues, core.sorted_eigenvalues(cert.eigenvalues))
+    assert core.matching_distance(cert.eigenvalues, np.diagonal(P)) < 1e-6
+
+
+def test_certificate_witness_cannot_rescue_near_singular_similarity():
+    S, P, v = _lifted_summand(1000.0)
+    assert np.linalg.cond(S) > 1e10
+    W = np.linalg.eigh(P)[1]
+    assert core.positivity_certificate(v, 1e-8).kind == "neither"
+    cert = core.positivity_certificate(v, 1e-8, witness=S @ W)
+    assert cert.kind == "neither"
+    assert cert.diagnostics.startswith("candidate witness rejected: condition number")
+
+
+@pytest.mark.parametrize("subject", ["similar", "spectrum-off", "jordan", "psd"])
+def test_certificate_wrong_witness_changes_nothing(subject, rng):
+    n = 6
+    if subject == "similar":
+        V = random_invertible(rng, n, cond=50.0)
+        M = (V * rng.uniform(0.0, 3.0, size=n)) @ np.linalg.inv(V)
+    elif subject == "spectrum-off":
+        M = random_complex(rng, n)
+    elif subject == "jordan":
+        M = np.eye(n) + np.diag(np.ones(n - 1), 1)
+    else:
+        M = random_psd(rng, n)
+    plain = core.positivity_certificate(M)
+    for _ in range(5):
+        cert = core.positivity_certificate(M, witness=random_complex(rng, n))
+        assert cert.kind == plain.kind
+        assert cert.min_eigenvalue == plain.min_eigenvalue
+
+
+def test_certificate_witness_column_scaling_is_irrelevant(rng):
+    for y_scale in (1.0, 100.0, 1000.0):
+        S, P, v = _lifted_summand(y_scale)
+        V = S @ np.linalg.eigh(P)[1]
+        base = core.positivity_certificate(v, 1e-8, witness=V)
+        for _ in range(3):
+            f = np.exp(rng.uniform(-8.0, 8.0, size=V.shape[1]))
+            cert = core.positivity_certificate(v, 1e-8, witness=V * f)
+            assert cert.kind == base.kind
+            if base.witness_condition is not None:
+                assert cert.witness_condition == pytest.approx(base.witness_condition, rel=1e-6)
+
+
+def test_certificate_rejects_witness_of_wrong_shape():
+    with pytest.raises(core.ShapeError):
+        core.positivity_certificate(np.diag([1.0, 2.0]) + np.triu(np.ones((2, 2)), 1),
+                                    witness=np.eye(3))

@@ -255,6 +255,42 @@ def test_verify_fails_non_psd_middle():
     assert checks["summands-similar-to-positive"].detail.startswith("summand 0: neither")
 
 
+def test_verify_fails_tampered_middle(rng):
+    # one negative diagonal entry in a middle: the candidate witness S W still
+    # diagonalizes the value, and its diagonal exposes the negative eigenvalue
+    T = random_real_trace(rng, 8, trace=8.0)
+    result = four_summands(T)
+    bad = list(result.summands)
+    P = bad[1].P.copy()
+    P[0, 0] = -0.5
+    bad[1] = make_summand(bad[1].S, P)
+    report = verify_decomposition(T, dataclasses.replace(result, summands=tuple(bad)))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["middle-blocks-psd"].passed
+    sim = checks["summands-similar-to-positive"]
+    assert not sim.passed
+    assert sim.detail.startswith("summand 1: neither (candidate witness rejected: diagonal entry")
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
+    # every summand is certified by its own witness S W: no eig or eigvals
+    calls = []
+    for name in ("eig", "eigvals"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    T = random_real_trace(np.random.default_rng([n, seed]), n, n * 1.0)
+    result = four_summands(T)
+    report = verify_decomposition(T, result, max_spectrum_points=2, min_pairwise_gap=1e-3)
+    assert report.passed
+    assert calls == []
+
+
 def test_verify_fails_ill_conditioned_summand():
     # S P S^-1 is about [[1, 1], [0, 1]]: a PSD middle behind a similarity of
     # cond 1e12 gives a value whose eigenvector basis exceeds the cap
