@@ -48,6 +48,11 @@ DEFAULT_TOL = 1e-9
 #: numerically non-diagonalizable.
 DEFAULT_COND_CAP = 1e8
 
+#: Relative residual, per unit of cond(V), up to which a candidate witness V
+#: counts as diagonalizing a matrix: rounding level (1e4 eps).  A basis that
+#: truly diagonalizes stays below it; a basis that merely comes close does not.
+_WITNESS_ROUNDING = 1e4 * np.finfo(float).eps
+
 
 class ShapeError(ValueError):
     """Raised when an operand has the wrong shape for an operation."""
@@ -307,13 +312,14 @@ def positivity_certificate(
     S P S^-1 with P = W diag(p) W*.  Its columns are scaled to unit norm
     (which leaves V^-1 M V diagonal and can lower cond(V) by orders of
     magnitude), and it is accepted when cond(V) <= ``cond_cap``, every
-    d = Re diag(V^-1 M V) is at least ``-tol * max(1, ||M||)`` and the
-    reconstruction bound above holds; then neither ``eig`` nor ``eigvals``
-    runs on ``M``.
-    Otherwise the one basis tried is the eigenvector matrix from
-    ``numpy.linalg.eig``, whose eigenvalues decide the spectrum condition.
-    Without a candidate, ``numpy.linalg.eigvals`` decides the spectrum first
-    and ``eig`` runs only when it lies in [0, inf).  A basis above
+    d = Re diag(V^-1 M V) is at least ``-tol * max(1, ||M||)`` and
+    ``V diag(d) V^-1`` reconstructs ``M`` at rounding level,
+    ``min(tol, 1e4 eps) * cond(V) * max(1, ||M||)``; then neither ``eig``
+    nor ``eigvals`` runs on ``M``.  The stricter bound keeps a basis that
+    only nearly diagonalizes ``M`` (a Jordan block's, say) from passing.
+    Otherwise, or when the candidate is rejected, ``numpy.linalg.eigvals``
+    decides the spectrum condition, and only when it lies in [0, inf) is the
+    eigenvector matrix from ``numpy.linalg.eig`` tried.  A basis above
     ``cond_cap`` makes the matrix count as non-diagonalizable, reported as
     ``"neither"`` with a diagnostic string.
     """
@@ -336,10 +342,7 @@ def positivity_certificate(
                      **spectrum(np.linalg.eigvals(A)))
 
     rejected = ""
-    if witness is None:
-        w = np.linalg.eigvals(A)
-        V = None
-    else:
+    if witness is not None:
         V = as_square_matrix(witness, "witness")
         if V.shape != A.shape:
             raise ShapeError(f"witness shape {V.shape} does not match {A.shape}")
@@ -352,7 +355,7 @@ def positivity_certificate(
             Vinv = np.linalg.inv(V)
             d = np.real(np.einsum("ij,ji->i", Vinv @ A, V))
             resid = op_norm((V * d) @ Vinv - A)
-            allowed = tol * max(1.0, cond) * max(1.0, scale)
+            allowed = min(tol, _WITNESS_ROUNDING) * max(1.0, cond) * max(1.0, scale)
             if d.min() < -tol_abs:
                 rejected = f"diagonal entry {d.min():.3e} below {-tol_abs:.3e}"
             elif resid > allowed:
@@ -361,8 +364,8 @@ def positivity_certificate(
                 return issue(kind="similar-to-positive", witness=V, witness_condition=cond,
                              witness_residual=float(resid), **spectrum(d))
         rejected = f"candidate witness rejected: {rejected}; "
-        w, V = np.linalg.eig(A)
 
+    w = np.linalg.eigvals(A)
     fields = spectrum(w)
     neither = partial(issue, kind="neither", witness=None, **fields)
     maxdist = float(np.max(dist_to_rplus(w)))
@@ -370,9 +373,7 @@ def positivity_certificate(
         return neither(diagnostics=f"{rejected}spectrum leaves [0, inf): max distance "
                                    f"{maxdist:.3e} exceeds {tol_abs:.3e}")
 
-    we = w
-    if V is None:
-        we, V = np.linalg.eig(A)
+    we, V = np.linalg.eig(A)
     cond = _condition(V)
     if cond > cond_cap:
         return neither(diagnostics=f"{rejected}no eigenvector basis with condition number "

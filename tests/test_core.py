@@ -110,10 +110,20 @@ def test_positivity_certificate_planted_family(rng):
 
 def test_positivity_certificate_jordan_block():
     # defective: eig's eigenvector matrix is singular to working precision
-    cert = core.positivity_certificate(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    cert = core.positivity_certificate(J)
     assert cert.kind == "neither"
     assert cert.witness is None
     assert cert.diagnostics.startswith("no eigenvector basis with condition number below")
+    # V = [[1, 1], [0, t]] brings J close to I with cond(V) ~ 2 / t up to the
+    # cap; the residual ||V V^-1 - J|| = 1 is no rounding error
+    for t in (2.5e-8, 1e-6, 1e-4, 1e-2):
+        for tol in (1e-8, core.DEFAULT_TOL):
+            cert = core.positivity_certificate(J, tol, witness=np.array([[1.0, 1.0], [0.0, t]]))
+            assert cert.kind == "neither"
+            assert cert.witness is None
+            assert cert.diagnostics.startswith(
+                "candidate witness rejected: reconstruction residual")
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -302,6 +312,7 @@ def test_certificate_witness_cannot_rescue_near_singular_similarity():
     cert = core.positivity_certificate(v, 1e-8, witness=S @ W)
     assert cert.kind == "neither"
     assert cert.diagnostics.startswith("candidate witness rejected: condition number")
+
 
 
 @pytest.mark.parametrize("subject", ["similar", "spectrum-off", "jordan", "psd"])

@@ -272,6 +272,22 @@ def test_verify_fails_tampered_middle(rng):
     assert sim.detail.startswith("summand 1: neither (candidate witness rejected: diagonal entry")
 
 
+def test_verify_fails_non_hermitian_middle_with_jordan_value():
+    # eigh reads one triangle of P, so the candidate witness S W is S itself,
+    # which comes within its condition number of diagonalizing the value J:
+    # not close enough to certify it
+    S = np.array([[1.0, 1.0], [0.0, 2.5e-8]])
+    P = np.array([[1.0, 2.5e-8], [0.0, 1.0]])
+    T, result = _hand_built(S, P)
+    assert np.allclose(T, [[1.0, 1.0], [0.0, 1.0]])
+    checks = {c.name: c for c in verify_decomposition(T, result).checks}
+    assert checks["reconstruction"].passed
+    assert not checks["middle-blocks-psd"].passed
+    sim = checks["summands-similar-to-positive"]
+    assert not sim.passed
+    assert sim.detail.startswith(
+        "summand 0: neither (candidate witness rejected: reconstruction residual")
+
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
