@@ -6,8 +6,8 @@ summands similar to positive matrices, each with at most two spectral
 points and pairwise disjoint spectra.  Two summands already suffice for any
 real positive trace, in any dimension: shortcuts when the target is already
 positive-like, otherwise a triangular split of the target's zero-diagonal
-form, and a bounded search only when that split's similarities are too
-ill-conditioned.
+form.  When that split's similarities are too ill-conditioned, the call
+raises its decline reason.
 """
 
 import numpy as np

@@ -24,6 +24,7 @@ from .core import (
 )
 from .decompose import (
     DecompConfig,
+    DeclinedError,
     DecompositionResult,
     FourSummandParams,
     ObstructionCertificate,

@@ -1,9 +1,10 @@
 """Command-line frontend for reproducible batch runs.
 
 Subcommands: decompose, spectrum, luders-demo, optimize, study,
-pseudospectrum.  Exit codes: 0 success, 1 input/usage error, 2 mathematical
-obstruction certificate.  Every command is a pure function of its input
-files, flags and seed.
+pseudospectrum.  Exit codes: 0 success, 1 input/usage error or a declined
+two- or three-summand construction, 2 mathematical obstruction
+certificate.  Every command is a pure function of its input files, flags
+and seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import serialize
 from .core import positivity_certificate
 from .decompose import (
-    DecompConfig,
+    DeclinedError,
     DecompositionResult,
     FourSummandParams,
     ObstructionCertificate,
@@ -120,13 +121,7 @@ def _cmd_decompose(args) -> int:
     if args.summands == 4:
         result = four_summands(T, FourSummandParams())
     else:
-        config = DecompConfig(
-            seed=args.seed,
-            search=OptimizationConfig(
-                m=args.summands, seed=args.seed,
-                max_iterations=args.iterations, restarts=args.restarts,
-                target_residual=args.tol if args.tol is not None else 1e-8))
-        result = three_summands(T, config) if args.summands == 3 else two_summands(T, config)
+        result = three_summands(T) if args.summands == 3 else two_summands(T)
     if isinstance(result, ObstructionCertificate):
         serialize.dump_json(_certificate_dict(result), args.output)
         print(f"obstruction: {result.reason}", file=sys.stderr)
@@ -229,14 +224,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="opsum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="split a matrix into summands similar to positive")
+    p = sub.add_parser(
+        "decompose", help="split a matrix into summands similar to positive",
+        description="Split a matrix into summands similar to positive.  With "
+        "--summands 2 or 3, a target whose triangular split is too "
+        "ill-conditioned (cond(S) above 1e8) is declined: exit 1 with the reason.")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--summands", type=int, choices=(2, 3, 4), default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--iterations", type=int, default=2000)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("spectrum", help="spectrum of an elementary operator")
@@ -292,7 +287,7 @@ def main(argv=None) -> int:
     except UnattainableEigenvalueError as exc:
         print(f"obstruction: {exc} [lower bound {exc.bound:g}]", file=sys.stderr)
         return EXIT_OBSTRUCTION
-    except (serialize.SchemaError, ValueError, OSError) as exc:
+    except (serialize.SchemaError, ValueError, OSError, DeclinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -30,8 +30,9 @@ Pipelines
   is a sum of two matrices similar to positive exactly when T = 0 or
   trace(T) is real and positive.  Targets already (similar to) PSD take a
   shortcut; the rest take the triangular split of :func:`_triangular`,
-  whose cond(S) grows exponentially in n at a fixed trace(T) / n, so past
-  a cond(S) gate an optimizer-backed search runs instead.
+  whose cond(S) grows exponentially in n at a fixed trace(T) / n.  Past a
+  cond(S) gate the split declines, and the pipeline raises
+  :class:`DeclinedError` with the reason.
 
 Every pipeline builds its result in one place, which reads each summand's
 spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
@@ -40,7 +41,8 @@ spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +57,6 @@ from .core import (
     op_norm,
     positivity_certificate,
 )
-from .lab import OptimizationConfig, optimize_sum_of_products, psd_project
 from .solvers import (
     DEFAULT_SOLVER_CONFIG,
     NonzeroTraceError,
@@ -70,6 +71,7 @@ __all__ = [
     "ObstructionCertificate",
     "FourSummandParams",
     "DecompConfig",
+    "DeclinedError",
     "ParameterError",
     "VerificationReport",
     "make_summand",
@@ -88,6 +90,11 @@ TRACE_TOL = 1e-9
 
 class ParameterError(ValueError):
     """Raised when decomposition parameters cannot be tuned consistently."""
+
+
+class DeclinedError(RuntimeError):
+    """Raised when the two- or three-summand construction declines a target
+    that has no trace obstruction; the message carries the decline reason."""
 
 
 @dataclass(frozen=True)
@@ -444,16 +451,25 @@ def four_summands(
 
 @dataclass(frozen=True)
 class DecompConfig:
-    """Knobs for the best-effort pipelines: ``allow_search_fallback``,
-    ``search`` (run with ``m`` and ``seed`` replaced by the summand count and
-    ``seed``; see :func:`_search_result`) and ``constructive_tol``, the
-    triangular split's largest relative reconstruction residual.
+    """Knobs for the best-effort pipelines.
+
+    ``constructive_tol`` is the triangular split's largest relative
+    reconstruction residual.  ``allow_search_fallback``, ``search`` and
+    ``seed`` are deprecated: no pipeline reads them, and setting one away
+    from its default issues a :class:`DeprecationWarning`.
     """
 
-    allow_search_fallback: bool = True
-    search: OptimizationConfig = field(default_factory=lambda: OptimizationConfig(m=3))
+    allow_search_fallback: bool = False
+    search: object = None
     seed: int = 0
     constructive_tol: float = 1e-6
+
+    def __post_init__(self):
+        # the class attributes hold the field defaults
+        for name in ("allow_search_fallback", "search", "seed"):
+            if getattr(self, name) != getattr(DecompConfig, name):
+                warnings.warn(f"DecompConfig.{name} is deprecated and ignored; "
+                              "it will be removed", DeprecationWarning, stacklevel=3)
 
 
 def _shortcut(A, m: int):
@@ -481,27 +497,6 @@ def _shortcut(A, m: int):
         note = f"target already {pc.kind}; split into {m} equal parts"
     summands = [make_summand(V, np.diag(p).astype(complex)) for p in middles]
     return _finish(A, summands, "shortcut", {"note": note})
-
-
-def _search_result(T, m, config: DecompConfig) -> DecompositionResult:
-    """Optimizer-backed decomposition: PSD product pairs turned into summands."""
-    opt = replace(config.search, m=m, seed=config.seed)
-    trace = optimize_sum_of_products(T, opt)
-    summands = []
-    eps = 1e-13 * max(1.0, float(max(op_norm(A) for A, _ in trace.final_factors)))
-    for A, B in trace.final_factors:
-        # A B = S (S B S) S^-1 with S = (A + eps)^(1/2); regularization keeps
-        # S invertible when A is singular PSD
-        d, U = np.linalg.eigh((A + A.conj().T) / 2.0)
-        S = (U * np.sqrt(np.maximum(d, 0.0) + eps)) @ U.conj().T
-        P = psd_project(S @ B @ S)
-        summands.append(make_summand(S, P))
-    return _finish(T, summands, "search", {
-        "best_residual_absolute": trace.best_residual,
-        "bound_floor": trace.bound_floor,
-        "iterations_recorded": int(len(trace.residual_history)),
-        "stop_reason": trace.stop_reason,
-    })
 
 
 def _triangular(T, m: int, config: DecompConfig):
@@ -546,20 +541,15 @@ def _triangular(T, m: int, config: DecompConfig):
 
 
 def _best_effort(T, m: int, config: DecompConfig | None):
-    """Shortcut, then the triangular split, then the search (m = 2 or 3)."""
+    """Shortcut, then the triangular split (m = 2 or 3); raises its decline."""
     A = as_square_matrix(T)
     config = config or DecompConfig()
     result = _shortcut(A, m)
     if result is not None:
         return result
     result, reason = _triangular(A, m, config)
-    if result is not None:
-        return result
-    if not config.allow_search_fallback:
-        raise RuntimeError(f"constructive {m}-summand path declined ({reason}) "
-                           "and search fallback is disabled")
-    result = _search_result(A, m, config)
-    result.diagnostics["constructive_declined"] = reason
+    if result is None:
+        raise DeclinedError(f"constructive {m}-summand path declined ({reason})")
     return result
 
 
@@ -567,10 +557,11 @@ def three_summands(T, config: DecompConfig | None = None):
     """Split into three summands similar to positive matrices.
 
     Order of attempts: trace certificates; equal split when the target is
-    itself (similar to) PSD; the triangular split, in any dimension; the
-    optimizer-backed search when a triangular similarity is too
-    ill-conditioned (the reason is kept in
-    ``diagnostics["constructive_declined"]``).
+    itself (similar to) PSD; the triangular split, in any dimension.  When a
+    triangular similarity is too ill-conditioned (cond(S) above 1e8), the
+    reconstruction misses ``config.constructive_tol`` or the
+    zero-diagonalization fails, raises :class:`DeclinedError` (a
+    ``RuntimeError``) whose message gives the reason.
     """
     return _best_effort(T, 3, config)
 
@@ -579,8 +570,8 @@ def two_summands(T, config: DecompConfig | None = None):
     """Split into two summands similar to positive matrices.
 
     PSD targets split as (T - lam_min I) + lam_min I; targets similar to
-    positive split the same way inside the witness basis.  The rest go as
-    in :func:`three_summands`, with two product pairs in the search.
+    positive split the same way inside the witness basis.  The rest take
+    the triangular split and decline as in :func:`three_summands`.
     """
     return _best_effort(T, 2, config)
 
@@ -590,7 +581,8 @@ def sum_of_products(T, m: int, config: DecompConfig | None = None,
     """Express T as m products of PSD pairs, T = sum_j A_j B_j.
 
     m = 4 routes through :func:`four_summands` (even dimension), m = 3 and
-    m = 2 through :func:`three_summands` and :func:`two_summands`.  Returns
+    m = 2 through :func:`three_summands` and :func:`two_summands`, which
+    raise :class:`DeclinedError` when their construction declines.  Returns
     the list of PSD pairs or an :class:`ObstructionCertificate`.
     """
     if m not in (2, 3, 4):

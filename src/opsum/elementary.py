@@ -217,9 +217,12 @@ def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDe
     UnattainableEigenvalueError
         If dist(lam, R+) > 0.
     ValueError
-        If the pairs fail the PSD or product-sum check.
+        If ``lam`` is not finite, or the pairs fail the PSD or product-sum
+        check.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     bound = dist_to_rplus(lam)
     if bound > 0.0:
         raise UnattainableEigenvalueError(lam, bound)
@@ -268,6 +271,8 @@ class GridSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("grid must have at least one step")
+        if not np.all(np.isfinite([self.re0, self.re1, self.im0, self.im1])):
+            raise ValueError("grid corners must be finite")
 
 
 @dataclass(frozen=True)

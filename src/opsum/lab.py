@@ -1,10 +1,10 @@
 """Search and experiments: PSD-constrained residual minimization and studies.
 
-The optimizer looks for sums of products of PSD matrices close to a target,
-which complements the constructive pipelines where those are infeasible or
-use more summands than necessary.  For scalar targets lam * I the search is
-bounded below by an analytic trace argument
-(:func:`residual_lower_bound`), which no optimizer run can beat.
+The optimizer looks for sums of products of PSD matrices close to a target;
+no decomposition pipeline calls it.  It serves experiments such as racing
+the trace obstruction: for scalar targets lam * I the search is bounded
+below by an analytic trace argument (:func:`residual_lower_bound`), which
+no optimizer run can beat.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_square_matrix, dist_to_rplus, frob, hermitian_part
-from .randmat import random_psd
+from .decompose import DecompositionResult, four_summands
+from .randmat import random_psd, random_real_trace
 
 __all__ = [
     "OptimizationConfig",
@@ -249,9 +250,6 @@ def condition_study(sizes, trace_margins, trials: int, seed: int) -> list[Experi
     from its own generator keyed by (seed, n, margin, trial), so records are
     bit-identical for a fixed seed regardless of evaluation order.
     """
-    from .decompose import DecompositionResult, four_summands
-    from .randmat import random_real_trace
-
     records = []
     for n in sizes:
         if n % 2 != 0 or n < 2:

@@ -112,10 +112,14 @@ def pairs_from_dict(d) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def dump_json(obj, path):
-    """Write JSON deterministically (sorted keys, no NaN/Inf)."""
+    """Write JSON deterministically (sorted keys, no NaN/Inf).
+
+    The text is encoded before the file is opened, so a value that cannot
+    be encoded raises and leaves ``path`` untouched.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _load_json(path):

@@ -10,9 +10,18 @@ import pytest
 
 from opsum import serialize
 from opsum.cli import EXIT_OBSTRUCTION, EXIT_OK, EXIT_USAGE, main
-from opsum.randmat import random_psd
+from opsum.randmat import random_psd, random_real_trace, scalar_product_pairs
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_module(*argv):
+    """Run ``python -m opsum.cli`` on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "opsum.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -67,9 +76,34 @@ def test_decompose_missing_file(workdir):
 def test_decompose_other_summand_counts(workdir, m):
     out = workdir / f"out{m}.json"
     code = main(["decompose", "--input", str(workdir / "id2.json"),
-                 "--output", str(out), "--summands", str(m), "--seed", "1"])
+                 "--output", str(out), "--summands", str(m)])
     assert code == EXIT_OK
     assert len(json.loads(out.read_text())["summands"]) == m
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_decompose_declined_target_exit_1(workdir, m):
+    # cond(S) 1.4e9 in the triangular split: the reason, and no traceback or output
+    path = workdir / "declined.json"
+    serialize.save_matrix(path, random_real_trace(np.random.default_rng([6, 100, 0]), 6, 0.6))
+    out = workdir / "x.json"
+    proc = _run_module("decompose", "--input", str(path), "--output", str(out),
+                       "--summands", str(m))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == (f"error: constructive {m}-summand path declined "
+                           "(cond(S) 1.4e+09 above 1e+08)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol", "--restarts", "--iterations"])
+def test_decompose_search_flags_removed(workdir, flag):
+    out = workdir / "x.json"
+    proc = _run_module("decompose", "--input", str(workdir / "id2.json"),
+                       "--output", str(out), "--summands", "3", flag, "1")
+    assert proc.returncode == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_spectrum_identity(workdir):
@@ -119,6 +153,17 @@ def test_luders_demo_positive(workdir):
     doc = json.loads(out.read_text())
     assert doc["eigen_residual"] <= 1e-10
     assert doc["lambda"] == [2.0, 0.0]
+
+
+def test_luders_demo_nan_lambda_exit_1(workdir):
+    serialize.save_pairs(workdir / "pairs.json", scalar_product_pairs(1.0, 2, 3))
+    out = workdir / "d.json"
+    proc = _run_module("luders-demo", "--lambda", "nan",
+                       "--input", str(workdir / "pairs.json"), "--output", str(out))
+    assert proc.returncode == EXIT_USAGE
+    assert "error: lambda must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_luders_demo_rejection_carries_bound(workdir, capsys):
@@ -186,15 +231,9 @@ def test_usage_errors_exit_1(workdir):
 
 def test_decompose_overflowing_integer_entry_exit_1(workdir):
     # a JSON integer beyond the double range is a schema error, not a crash
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     path = workdir / "huge.json"
     path.write_text('{"rows": 1, "cols": 1, "entries": [[%d, 0]]}' % 10**400)
-    proc = subprocess.run(
-        [sys.executable, "-m", "opsum.cli", "decompose", "--input", str(path),
-         "--output", str(workdir / "x.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_module("decompose", "--input", str(path), "--output", str(workdir / "x.json"))
     assert proc.returncode == EXIT_USAGE
     assert "error:" in proc.stderr and "entries[0]" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -210,17 +249,10 @@ def test_decompose_three_summands_emits_no_warning(workdir, rng):
 
 
 def test_module_entry_point(workdir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     out = workdir / "ps.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "opsum.cli", "pseudospectrum",
-         "--input", str(workdir / "idpair.json"), "--output", str(out),
-         "--grid=-1,2,-1,1,3"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_module("pseudospectrum", "--input", str(workdir / "idpair.json"),
+                       "--output", str(out), "--grid=-1,2,-1,1,3")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert len(out.read_text().strip().splitlines()) == 1 + 9
-    proc = subprocess.run([sys.executable, "-m", "opsum.cli", "nosuchcommand"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_module("nosuchcommand")
     assert proc.returncode == EXIT_USAGE

@@ -1,5 +1,5 @@
 import dataclasses
-import re
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +10,7 @@ import opsum.decompose
 from opsum.core import frob, is_psd, is_similar_to_positive, op_norm, positivity_certificate
 from opsum.decompose import (
     DecompConfig,
+    DeclinedError,
     DecompositionResult,
     FourSummandParams,
     ObstructionCertificate,
@@ -22,7 +23,6 @@ from opsum.decompose import (
     to_positive_product,
     two_summands,
     verify_decomposition,
-    _search_result,
 )
 from opsum.core import ShapeError
 from opsum.lab import OptimizationConfig
@@ -33,13 +33,6 @@ from opsum.randmat import (
     random_psd,
     random_real_trace,
 )
-
-
-def search_config(m, seed=0):
-    return DecompConfig(
-        seed=seed,
-        search=OptimizationConfig(m=m, max_iterations=2000, restarts=50,
-                                  seed=seed, target_residual=1e-3))
 
 
 # --- obstruction ------------------------------------------------------------
@@ -386,7 +379,7 @@ def test_three_summands_constructive_block_case(rng):
 def test_three_summands_planted_fallback():
     rng = np.random.default_rng(311)
     T, _ = planted_summand_sum(rng, 4, 3)
-    result = three_summands(T, search_config(3, seed=5))
+    result = three_summands(T)
     assert isinstance(result, DecompositionResult)
     assert result.method == "constructive"
     assert result.reconstruction_residual <= 1e-2
@@ -405,8 +398,8 @@ def test_three_summands_n2_constructive(rng):
 
 
 def test_three_summands_fallback_disabled(rng):
-    # the generic complex 4x4 target takes the triangular split, so the
-    # disabled fallback is never reached
+    # the generic complex 4x4 target takes the triangular split
+    # (allow_search_fallback=False is the default and does not warn)
     g = np.random.default_rng(0)
     T = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
     T -= 1j * (np.trace(T).imag / 4) * np.eye(4)
@@ -416,7 +409,7 @@ def test_three_summands_fallback_disabled(rng):
     report = verify_decomposition(T, result, tol=1e-6)
     assert report.passed, report.failures()
     # at n = 16, margin 0.1 the triangular similarities exceed the cond gate,
-    # and with the fallback disabled the decline must raise with its reason
+    # and the decline must raise with its reason
     T = random_real_trace(rng, 16, 1.6)
     with pytest.raises(RuntimeError, match=r"cond\(S\) .* above 1e\+08"):
         three_summands(T, DecompConfig(allow_search_fallback=False))
@@ -428,7 +421,7 @@ def test_three_summands_fallback_disabled(rng):
        seed=st.integers(0, 2**32 - 1))
 def test_constructive_route_property(n, margin, kind, m, seed):
     # every real-positive-trace target at these sizes and margins splits
-    # without the search, any n (odd included), reproducibly bit for bit
+    # without a decline, any n (odd included), reproducibly bit for bit
     g = np.random.default_rng(seed)
     if kind == "complex":
         T = random_real_trace(g, n, margin * n)
@@ -472,25 +465,18 @@ def test_two_summands_certificate_1x1():
     assert two_summands(np.array([[-1.0]])).reason == "nonpositive-real-trace"
 
 
-def test_two_summands_planted_search():
-    rng = np.random.default_rng(99)
-    T, _ = planted_summand_sum(rng, 2, 2)
-    result = _search_result(T, 2, search_config(2, seed=3))
-    assert isinstance(result, DecompositionResult)
-    assert result.reconstruction_residual <= 1e-2
-    assert len(result.summands) == 2
-    assert result.method == "search"
-    assert result.diagnostics["stop_reason"] == "target"
-
-
-def test_two_summands_search_fallback_records_decline(rng):
-    T = random_real_trace(rng, 16, 1.6)
-    config = DecompConfig(search=OptimizationConfig(m=2, max_iterations=20, restarts=1))
-    result = two_summands(T, config)
-    assert result.method == "search"
-    assert len(result.summands) == 2
-    assert re.fullmatch(r"cond\(S\) \S+ above 1e\+08",
-                        result.diagnostics["constructive_declined"])
+@pytest.mark.parametrize("split", [two_summands, three_summands])
+def test_declined_split_raises_reason(split):
+    # cond(S) 1.4e9 on this target: the decline raises at once, no search runs
+    T = random_real_trace(np.random.default_rng([6, 100, 0]), 6, 0.6)
+    m = 2 if split is two_summands else 3
+    start = time.perf_counter()
+    with pytest.raises(DeclinedError, match=(
+            rf"^constructive {m}-summand path declined \(cond\(S\) \S+ above 1e\+08\)$")):
+        split(T)
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(RuntimeError, match=r"cond\(S\) \S+ above 1e\+08"):
+        sum_of_products(T, m)
 
 
 
@@ -514,13 +500,11 @@ def test_zero_diagonalization_failure_declines(rng, monkeypatch):
 
     monkeypatch.setattr("opsum.decompose.zero_diagonalize", stalled)
     T = random_real_trace(rng, 4, 4.0)
-    config = DecompConfig(search=OptimizationConfig(m=3, max_iterations=20, restarts=1))
-    result = three_summands(T, config)
-    assert result.method == "search"
-    assert (result.diagnostics["constructive_declined"]
-            == "zero-diagonalization failed: zero-diagonalization stalled")
-    with pytest.raises(RuntimeError, match="zero-diagonalization failed"):
-        two_summands(T, DecompConfig(allow_search_fallback=False))
+    for m, split in [(2, two_summands), (3, three_summands)]:
+        with pytest.raises(DeclinedError) as info:
+            split(T)
+        assert str(info.value) == (f"constructive {m}-summand path declined "
+                                   "(zero-diagonalization failed: zero-diagonalization stalled)")
 
 
 @pytest.mark.parametrize("field_name", [
@@ -536,7 +520,21 @@ def test_decomp_config_defaults_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         DecompConfig()
-        DecompConfig(seed=3, allow_search_fallback=False)
+        DecompConfig(allow_search_fallback=False, search=None, seed=0,
+                     constructive_tol=1e-8)
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("allow_search_fallback", True),
+    ("search", OptimizationConfig(m=3, max_iterations=400, restarts=2)),
+    ("seed", 3)])
+def test_decomp_config_search_fields_deprecated(field_name, value):
+    with pytest.warns(DeprecationWarning, match=rf"DecompConfig\.{field_name} is deprecated"):
+        config = DecompConfig(**{field_name: value})
+    # accepted but unread: a declined target still raises at once
+    T = random_real_trace(np.random.default_rng([6, 100, 0]), 6, 0.6)
+    with pytest.raises(DeclinedError):
+        three_summands(T, config)
 
 
 def test_three_term_state_removed():

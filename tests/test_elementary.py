@@ -225,6 +225,13 @@ def test_plant_eigenvalue_rejects_off_axis(lam):
     assert err.value.bound == dist_to_rplus(lam)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_plant_eigenvalue_rejects_non_finite(lam):
+    # nan and 1+nanj used to slip past the trace bound (dist_to_rplus is nan)
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        plant_luders_eigenvalue(lam, scalar_product_pairs(1.0, 2, 3))
+
+
 def test_plant_eigenvalue_rejects_bad_pairs():
     with pytest.raises(ValueError):
         plant_luders_eigenvalue(2.0, [(np.eye(2), np.eye(2))])   # sums to I != 2I
@@ -261,6 +268,14 @@ def test_pseudospectrum_matches_svd_oracle(rng):
 def test_pseudospectrum_rejects_empty_grid():
     with pytest.raises(ValueError):
         GridSpec(0, 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("corners", [
+    (float("nan"), 1, 0, 1), (0, float("inf"), 0, 1), (0, 1, float("-inf"), 1),
+    (0, 1, 0, float("nan"))])
+def test_grid_rejects_non_finite_corners(corners):
+    with pytest.raises(ValueError, match="grid corners must be finite"):
+        GridSpec(*corners, 3)
 
 
 def _svd_sigma_min(M, grid):

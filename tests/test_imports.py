@@ -7,9 +7,13 @@ re-exports) and ``from __future__`` imports are exempt; a name listed in
 the module's ``__all__`` counts as used.
 
 A deletion can also leave its name in ``__all__``, which breaks
-``from module import *`` with an AttributeError, so the other check fails
+``from module import *`` with an AttributeError, so another check fails
 on any ``__all__`` entry that no def, class, assignment or import binds at
 module level.
+
+The last two keep the package layered: every import of a sibling module
+sits at module level, where it is seen at import time, and the module-level
+``from .x import`` edges form no cycle.
 """
 
 import ast
@@ -22,19 +26,26 @@ ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
-def _imported_names(tree: ast.Module):
-    """(bound name, line) of every import at module level, try/if bodies included."""
+def _module_level_imports(tree: ast.Module):
+    """Every import statement at module level, try/if bodies included."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) of every import at module level, try/if bodies included."""
+    for node in _module_level_imports(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield (alias.asname or alias.name.partition(".")[0]), node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif node.module != "__future__":
             for alias in node.names:
                 yield (alias.asname or alias.name), node.lineno
-        elif isinstance(node, (ast.If, ast.Try)):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 def _bound_names(tree: ast.Module) -> set[str]:
@@ -75,3 +86,45 @@ def test_all_names_are_bound(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unbound = sorted(_exported(tree) - _bound_names(tree))
     assert not unbound, f"{path.name} lists names in __all__ it never binds: {', '.join(unbound)}"
+
+
+def _sibling_targets(node: ast.ImportFrom) -> list[str]:
+    """Sibling modules a relative import reads: ``x`` for ``from .x import``,
+    each name for ``from . import a, b``."""
+    if node.module:
+        return [node.module.partition(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = set(map(id, _module_level_imports(tree)))
+    nested = sorted(f"line {node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top)
+    assert not nested, f"{path.name} imports package modules below module level: {', '.join(nested)}"
+
+
+def test_module_level_package_imports_are_acyclic():
+    edges = {}
+    for path in ALL_MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        edges[path.stem] = {target for node in _module_level_imports(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level
+                            for target in _sibling_targets(node)}
+    done, active = set(), []
+
+    def visit(module):
+        if module in active:
+            cycle = active[active.index(module):] + [module]
+            pytest.fail(f"import cycle: {' -> '.join(cycle)}")
+        if module in done or module not in edges:
+            return
+        active.append(module)
+        for target in sorted(edges[module]):
+            visit(target)
+        active.pop()
+        done.add(module)
+
+    for module in sorted(edges):
+        visit(module)

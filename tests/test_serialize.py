@@ -49,6 +49,25 @@ def test_nonfinite_rejected_on_write():
         serialize.matrix_to_dict(np.array([[np.nan]]))
 
 
+def test_failed_dump_leaves_file_unchanged(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        serialize.dump_json({"x": float("nan")}, path)
+    assert not path.exists()
+    path.write_text("earlier output\n")
+    with pytest.raises(ValueError):
+        serialize.dump_json({"a": [1.0] * 500, "x": float("nan")}, path)
+    assert path.read_text() == "earlier output\n"
+
+
+def test_dump_json_layout(tmp_path):
+    path = tmp_path / "out.json"
+    serialize.dump_json({"b": [1.5, -0.0], "a": {"z": 1, "y": None}}, path)
+    assert path.read_text() == (
+        '{\n  "a": {\n    "y": null,\n    "z": 1\n  },\n'
+        '  "b": [\n    1.5,\n    -0.0\n  ]\n}\n')
+
+
 def test_nonfinite_rejected_on_read():
     doc = {"rows": 1, "cols": 1, "entries": [[1e400, 0.0]]}
     text = json.dumps(doc).replace("Infinity", "1e999")
