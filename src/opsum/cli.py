@@ -60,11 +60,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_lambda(text: str) -> complex:
+    """A finite complex number in Python syntax, with a trailing ``i`` also
+    read as the imaginary unit (``2i``, ``-1+1i``)."""
     try:
-        return complex(text.replace("i", "j"))
+        lam = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex number {text!r}") from exc
+    if not np.isfinite(lam):
+        raise UsageError(f"lambda must be finite, got {lam}")
+    return lam
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise UsageError(f"--tol expects a number, got {text!r}") from exc
+    if not 0.0 <= tol < np.inf:
+        raise UsageError(f"--tol must be finite and nonnegative, got {text}")
+    return tol
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -237,11 +252,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="spectrum of an elementary operator")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("luders-demo", help="plant an eigenvalue in a block Lüders operation")
-    p.add_argument("--lambda", dest="lam", type=_parse_complex, required=True)
+    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--input", default=None, help="optional coefficient pairs file")
     p.add_argument("--k", type=int, default=2, help="half-space dimension")
@@ -254,7 +269,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="residual history CSV; summary JSON at <output>.json")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=None)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--iterations", type=int, default=2000)
     p.set_defaults(func=_cmd_optimize)

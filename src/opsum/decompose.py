@@ -9,10 +9,12 @@ count.
 
 Pipelines
 ---------
-* :func:`four_summands` is fully constructive for any even-dimensional
-  target with real positive trace.  Split T into 2x2 blocks [[A, B], [C, D]]
-  over halves of the space and look for summands S_j (a_j + b_j) S_j^-1 with
-  block-diagonal PSD middles and unit-Schur-complement similarities
+* :func:`four_summands` is constructive, in exact arithmetic, for any
+  even-dimensional target with real positive trace (numerically its
+  similarities degrade toward the trace boundary).  Split T into 2x2
+  blocks [[A, B], [C, D]] over halves of the space and look for summands
+  S_j (a_j + b_j) S_j^-1 with block-diagonal PSD middles and
+  unit-Schur-complement similarities
 
       S_j = [[1, x_j], [y_j, 1 + y_j x_j]].
 
@@ -52,18 +54,13 @@ from .core import (
     ShapeError,
     as_square_matrix,
     frob,
+    hermitian_part,
     is_psd,
     is_similar_to_positive,
     op_norm,
     positivity_certificate,
 )
-from .solvers import (
-    DEFAULT_SOLVER_CONFIG,
-    NonzeroTraceError,
-    SolverConfig,
-    commutator_solve,
-    zero_diagonalize,
-)
+from .solvers import NonzeroTraceError, commutator_solve, zero_diagonalize
 
 __all__ = [
     "SimilaritySummand",
@@ -226,7 +223,7 @@ def _positive_product(S, P, cond: float, cond_cap: float = 1e12):
     Sinv = np.linalg.inv(S)
     A = S @ S.conj().T
     B = Sinv.conj().T @ P @ Sinv
-    return (A + A.conj().T) / 2.0, (B + B.conj().T) / 2.0
+    return hermitian_part(A), hermitian_part(B)
 
 
 def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
@@ -249,7 +246,7 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
 
 
 # ---------------------------------------------------------------------------
-# four summands (fully constructive)
+# four summands (constructive)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -259,75 +256,46 @@ class FourSummandParams:
     ``delta`` is the common difference a_j - b_j of the scalar pairs,
     ``beta`` the sum b_2 + b_3 + b_4; both are auto-tuned from trace(T) when
     None (target trace of the first middle block min(k, Re trace / 2), then
-    delta = remainder / 6k and beta from the trace identity).  ``a1_mode``
-    selects the first middle block: ``"scalar"`` (tau * I, spectrum one
-    point) or ``"two-point"`` (tau1 + tau2 * p for a diagonal projection p
-    of rank floor(k/2)).  ``b_weights`` split beta into b_2, b_3, b_4; they
-    are nudged by up to ~10% to keep the summand spectra separated.
-    ``sep_margin`` None means min(1e-3, beta/10, delta/10).
+    delta = remainder / 6k and beta from the trace identity).
     """
 
     delta: float | None = None
     beta: float | None = None
-    a1_mode: str = "scalar"
-    b_weights: tuple = (0.2, 0.3, 0.5)
-    sep_margin: float | None = None
 
     def __post_init__(self):
         if self.delta is not None and self.delta <= 0:
             raise ParameterError("delta must be positive")
         if self.beta is not None and self.beta <= 0:
             raise ParameterError("beta must be positive")
-        if self.a1_mode not in ("scalar", "two-point"):
-            raise ParameterError(f"unknown a1_mode {self.a1_mode!r}")
-        w = np.asarray(self.b_weights, dtype=float)
-        if w.shape != (3,) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ParameterError("b_weights must be three positive fractions summing to 1")
+
+
+#: Fractions of beta given to b_2, b_3, b_4 before any nudging.
+B_WEIGHTS = (0.2, 0.3, 0.5)
 
 
 def _tune_parameters(t: float, k: int, params: FourSummandParams):
-    """Resolve (trace(a1), delta, beta) from Re trace(T) = t > 0."""
-    if params.delta is None and params.beta is None:
+    """Resolve (trace(a1), delta, beta) from Re trace(T) = t > 0.
+
+    The trace identity t = trace(a1) + 2 beta k + 3 delta k fixes the last
+    unknown once two are set.  Without beta, trace(a1) = min(k, t / 2);
+    otherwise 2 beta k is set.  delta defaults to a sixth per k of what that
+    term leaves of t.
+    """
+    if params.beta is None:
         tr_a1 = min(float(k), t / 2.0)
-        delta = (t - tr_a1) / (6.0 * k)
+        delta = params.delta if params.delta is not None else (t - tr_a1) / (6.0 * k)
         beta = (t - tr_a1 - 3.0 * delta * k) / (2.0 * k)
-    elif params.beta is None:
-        delta = params.delta
-        tr_a1 = min(float(k), t / 2.0)
-        beta = (t - tr_a1 - 3.0 * delta * k) / (2.0 * k)
-        if beta <= 0:
-            raise ParameterError(
-                f"infeasible delta: requires t - tr(a1) - 3*delta*k > 0, got "
-                f"{t} - {tr_a1} - {3 * delta * k} <= 0")
     else:
-        delta = params.delta if params.delta is not None else \
-            (t - 2.0 * params.beta * k) / (6.0 * k)
         beta = params.beta
-        if delta <= 0:
-            raise ParameterError(
-                f"infeasible beta: requires t - 2*beta*k > 0, got "
-                f"{t} - {2 * beta * k} <= 0")
+        delta = params.delta if params.delta is not None else \
+            (t - 2.0 * beta * k) / (6.0 * k)
         tr_a1 = t - 2.0 * beta * k - 3.0 * delta * k
-        if tr_a1 <= 0:
+    for name, value in (("delta", delta), ("beta", beta), ("trace(a1)", tr_a1)):
+        if value <= 0:
             raise ParameterError(
-                "infeasible parameters: trace identity requires "
-                f"t - 2*beta*k - 3*delta*k > 0, got {tr_a1} <= 0")
+                f"infeasible parameters: the trace identity t = tr(a1) + "
+                f"2*beta*k + 3*delta*k leaves {name} = {value} <= 0 at t = {t}")
     return tr_a1, delta, beta
-
-
-def _a1_diagonal(tr_a1: float, k: int, mode: str) -> np.ndarray:
-    """Diagonal of the first middle block at the prescribed trace."""
-    if mode == "scalar" or k < 2:
-        return np.full(k, tr_a1 / k)
-    r = k // 2
-    mean = tr_a1 / k
-    hi = min(1.0, 1.5 * mean) if mean <= 1.0 else 1.5 * mean
-    lo = (tr_a1 - r * hi) / (k - r)
-    if lo <= 0 or lo >= hi:
-        return np.full(k, mean)
-    d = np.full(k, lo)
-    d[:r] = hi
-    return d
 
 
 def _nudge_weights(weights: np.ndarray, attempt: int) -> np.ndarray:
@@ -336,17 +304,13 @@ def _nudge_weights(weights: np.ndarray, attempt: int) -> np.ndarray:
     return w / w.sum()
 
 
-def four_summands(
-    T,
-    params: FourSummandParams | None = None,
-    solver_config: SolverConfig = DEFAULT_SOLVER_CONFIG,
-):
+def four_summands(T, params: FourSummandParams | None = None):
     """Split an even-dimensional matrix into four summands similar to positive.
 
     Requires real positive trace (otherwise an :class:`ObstructionCertificate`
     is returned).  Each summand's middle block is diagonal PSD with at most
-    two distinct eigenvalues (three in ``"two-point"`` mode), and distinct
-    summands have disjoint spectra with a recorded gap.
+    two distinct eigenvalues, and distinct summands have disjoint spectra
+    with a recorded gap of at least min(1e-3, beta/10, delta/10).
 
     Returns
     -------
@@ -375,15 +339,15 @@ def four_summands(
     k = n // 2
     t = float(np.trace(A_full).real)
     tr_a1, delta, beta = _tune_parameters(t, k, params)
-    a1_diag = _a1_diagonal(tr_a1, k, params.a1_mode)
+    a1_diag = np.full(k, tr_a1 / k)
 
-    sep_goal = params.sep_margin if params.sep_margin is not None else \
-        min(1e-3, beta / 10.0, delta / 10.0)
-    weights = np.asarray(params.b_weights, dtype=float)
+    sep_goal = min(1e-3, beta / 10.0, delta / 10.0)
+    base_weights = np.asarray(B_WEIGHTS, dtype=float)
+    weights = base_weights
     for attempt in range(25):
         b = beta * weights
         a = b + delta
-        groups = [np.concatenate([[0.0], np.unique(a1_diag)])] + \
+        groups = [np.array([0.0, a1_diag[0]])] + \
                  [np.array([b[j], a[j]]) for j in range(3)]
         gap = min(
             float(np.abs(gi[:, None] - gj[None, :]).min())
@@ -391,7 +355,7 @@ def four_summands(
             for gj in groups[idx + 1:])
         if gap >= sep_goal:
             break
-        weights = _nudge_weights(np.asarray(params.b_weights, dtype=float), attempt + 1)
+        weights = _nudge_weights(base_weights, attempt + 1)
     else:
         raise ParameterError(
             f"could not separate summand spectra: best gap {gap:.3e} below "
@@ -406,7 +370,7 @@ def four_summands(
 
     T0 = (A + D - a1 - (2.0 * beta + 3.0 * delta) * eye) / delta
     T0 = T0 - (np.trace(T0) / k) * eye   # absorb the (tiny) residual trace
-    comm = commutator_solve(T0, solver_config)
+    comm = commutator_solve(T0)
     x4, y4 = comm.X, comm.Y
 
     x3 = (A - a1 - (beta + 3.0 * delta) * eye) / delta - x4 @ y4
@@ -449,20 +413,21 @@ def four_summands(
 # three / two summands
 # ---------------------------------------------------------------------------
 
+#: The triangular split's largest relative reconstruction residual.
+CONSTRUCTIVE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class DecompConfig:
-    """Knobs for the best-effort pipelines.
+    """Deprecated configuration of the two- and three-summand pipelines.
 
-    ``constructive_tol`` is the triangular split's largest relative
-    reconstruction residual.  ``allow_search_fallback``, ``search`` and
-    ``seed`` are deprecated: no pipeline reads them, and setting one away
-    from its default issues a :class:`DeprecationWarning`.
+    No pipeline reads ``allow_search_fallback``, ``search`` or ``seed``;
+    setting one away from its default issues a :class:`DeprecationWarning`.
     """
 
     allow_search_fallback: bool = False
     search: object = None
     seed: int = 0
-    constructive_tol: float = 1e-6
 
     def __post_init__(self):
         # the class attributes hold the field defaults
@@ -499,7 +464,7 @@ def _shortcut(A, m: int):
     return _finish(A, summands, "shortcut", {"note": note})
 
 
-def _triangular(T, m: int, config: DecompConfig):
+def _triangular(T, m: int):
     """Two or three summands from the zero-diagonal form of T - cI, c = tr T / n.
 
     Unitary zero-diagonalization gives T = R* (cI + L + U) R with L strictly
@@ -509,7 +474,7 @@ def _triangular(T, m: int, config: DecompConfig):
     which keeps every cond(S_j) at its m = 2 value.  Returns
     ``(result, None)``, or ``(None, reason)`` when a cond(S_j) exceeds the
     diagonalizability cap (above it verify could not certify the summand),
-    the reconstruction misses ``config.constructive_tol`` or the
+    the reconstruction misses :data:`CONSTRUCTIVE_TOL` or the
     zero-diagonalization fails.
     """
     n = T.shape[0]
@@ -535,19 +500,18 @@ def _triangular(T, m: int, config: DecompConfig):
     result = _finish(T, summands, "constructive",
                      {"note": "triangular split of the zero-diagonal form"})
     residual = result.reconstruction_residual
-    if not residual <= config.constructive_tol:
-        return None, f"reconstruction {residual:.1e} above {config.constructive_tol:.0e}"
+    if not residual <= CONSTRUCTIVE_TOL:
+        return None, f"reconstruction {residual:.1e} above {CONSTRUCTIVE_TOL:.0e}"
     return result, None
 
 
-def _best_effort(T, m: int, config: DecompConfig | None):
+def _best_effort(T, m: int):
     """Shortcut, then the triangular split (m = 2 or 3); raises its decline."""
     A = as_square_matrix(T)
-    config = config or DecompConfig()
     result = _shortcut(A, m)
     if result is not None:
         return result
-    result, reason = _triangular(A, m, config)
+    result, reason = _triangular(A, m)
     if result is None:
         raise DeclinedError(f"constructive {m}-summand path declined ({reason})")
     return result
@@ -559,11 +523,12 @@ def three_summands(T, config: DecompConfig | None = None):
     Order of attempts: trace certificates; equal split when the target is
     itself (similar to) PSD; the triangular split, in any dimension.  When a
     triangular similarity is too ill-conditioned (cond(S) above 1e8), the
-    reconstruction misses ``config.constructive_tol`` or the
+    reconstruction misses :data:`CONSTRUCTIVE_TOL` or the
     zero-diagonalization fails, raises :class:`DeclinedError` (a
-    ``RuntimeError``) whose message gives the reason.
+    ``RuntimeError``) whose message gives the reason.  ``config`` is
+    deprecated and unread.
     """
-    return _best_effort(T, 3, config)
+    return _best_effort(T, 3)
 
 
 def two_summands(T, config: DecompConfig | None = None):
@@ -572,8 +537,9 @@ def two_summands(T, config: DecompConfig | None = None):
     PSD targets split as (T - lam_min I) + lam_min I; targets similar to
     positive split the same way inside the witness basis.  The rest take
     the triangular split and decline as in :func:`three_summands`.
+    ``config`` is deprecated and unread.
     """
-    return _best_effort(T, 2, config)
+    return _best_effort(T, 2)
 
 
 def sum_of_products(T, m: int, config: DecompConfig | None = None,
@@ -583,11 +549,12 @@ def sum_of_products(T, m: int, config: DecompConfig | None = None,
     m = 4 routes through :func:`four_summands` (even dimension), m = 3 and
     m = 2 through :func:`three_summands` and :func:`two_summands`, which
     raise :class:`DeclinedError` when their construction declines.  Returns
-    the list of PSD pairs or an :class:`ObstructionCertificate`.
+    the list of PSD pairs or an :class:`ObstructionCertificate`.  ``config``
+    is deprecated and unread.
     """
     if m not in (2, 3, 4):
         raise ValueError(f"summand count must be 2, 3 or 4, got {m}")
-    result = four_summands(T, params) if m == 4 else _best_effort(T, m, config)
+    result = four_summands(T, params) if m == 4 else _best_effort(T, m)
     if isinstance(result, ObstructionCertificate):
         return result
     return list(result.product_form)
@@ -657,7 +624,7 @@ def verify_decomposition(
         if not is_psd(s.P, DEFAULT_TOL):
             psd_ok = False
             worst_min = min(worst_min,
-                            float(np.linalg.eigvalsh((s.P + s.P.conj().T) / 2).min()))
+                            float(np.linalg.eigvalsh(hermitian_part(s.P)).min()))
     checks.append(VerificationCheck(
         "middle-blocks-psd", psd_ok, worst_min, 0.0,
         "every middle block P must be PSD"))

@@ -60,35 +60,40 @@ def residual_lower_bound(lam) -> float:
     return dist_to_rplus(complex(lam))
 
 
+#: Projected gradient steps per block solve.
+_INNER_STEPS = 12
+#: Fractions of the step toward a block candidate tried in turn; the first
+#: that does not increase the residual is taken.
+_STEP_FRACTIONS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+#: A restart stops after this many iterations in a row that each improve the
+#: residual by less than _STALL_RTOL * max(1, residual).
+_STALL_ITERATIONS = 60
+_STALL_RTOL = 1e-13
+
+
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Budget and seeding for the alternating PSD least-squares search.
 
-    ``step_rule`` is ``"backtracking"`` (halve the step toward the candidate
-    until the residual does not increase) or ``"fixed"`` (full step, kept
-    only if not worse).  Either way the recorded residual history is
-    non-increasing.  ``stall_iterations`` breaks off a restart early when
-    the residual has stopped improving.  The run ends once the best residual
-    is at most ``target_residual`` or, for a scalar target lam * I off
-    [0, inf), within a relative 1e-12 of the exact Frobenius optimum
-    sqrt(n) dist(lam, R+), which no further iteration can improve.
+    The run ends once the best residual is at most ``target_residual`` or,
+    for a scalar target lam * I off [0, inf), within a relative 1e-12 of the
+    exact Frobenius optimum sqrt(n) dist(lam, R+), which no further
+    iteration can improve.  A restart also ends early when its residual has
+    stopped improving.
     """
 
     m: int = 2
     max_iterations: int = 2000
     restarts: int = 50
-    step_rule: str = "backtracking"
     seed: int = 0
     target_residual: float = 1e-8
-    stall_iterations: int = 60
-    stall_rtol: float = 1e-13
-    inner_steps: int = 12
 
     def __post_init__(self):
         if self.m < 1 or self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("m, max_iterations and restarts must be positive")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
+        if not 0.0 <= self.target_residual < np.inf:
+            raise ValueError(
+                f"target_residual must be finite and nonnegative, got {self.target_residual}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def _scalar_target(T: np.ndarray) -> complex | None:
 
 
 def _block_solve(start: np.ndarray, fixed: np.ndarray, R: np.ndarray,
-                 side: str, steps: int) -> np.ndarray:
+                 side: str) -> np.ndarray:
     """Approximately minimize the convex block problem over the PSD cone.
 
     For side "A" this is min_{X psd} ||X @ fixed - R||_F (and the mirrored
@@ -132,13 +137,12 @@ def _block_solve(start: np.ndarray, fixed: np.ndarray, R: np.ndarray,
     objective (which equals the global residual) never increases.
     """
     X = start
+    L = max(np.linalg.norm(fixed, 2) ** 2, 1e-300)
     if side == "A":
-        L = max(np.linalg.norm(fixed, 2) ** 2, 1e-300)
-        for _ in range(steps):
+        for _ in range(_INNER_STEPS):
             X = psd_project(X - ((X @ fixed - R) @ fixed.conj().T) / L)
     else:
-        L = max(np.linalg.norm(fixed, 2) ** 2, 1e-300)
-        for _ in range(steps):
+        for _ in range(_INNER_STEPS):
             X = psd_project(X - (fixed.conj().T @ (fixed @ X - R)) / L)
     return X
 
@@ -147,8 +151,8 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
     """Minimize || sum_j A_j B_j - T ||_F over PSD factors by alternating steps.
 
     Each factor is updated by an unconstrained least-squares solve followed
-    by projection onto the PSD cone; the step rule guarantees the residual
-    never increases.  Multiple seeded restarts; the best factors are
+    by projection onto the PSD cone; a step is taken only if the residual
+    does not increase.  Multiple seeded restarts; the best factors are
     returned.  Non-convergence is an outcome, not an error.
     """
     T = as_square_matrix(T)
@@ -183,10 +187,8 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
                     R = T - (total - products[j])
                     old = A[j] if side == "A" else B[j]
                     fixed = B[j] if side == "A" else A[j]
-                    cand = _block_solve(old, fixed, R, side, config.inner_steps)
-                    steps = (1.0,) if config.step_rule == "fixed" else (
-                        1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-                    for t in steps:
+                    cand = _block_solve(old, fixed, R, side)
+                    for t in _STEP_FRACTIONS:
                         trial = old + t * (cand - old)   # PSD cone is convex
                         new_prod = (trial @ fixed) if side == "A" else (fixed @ trial)
                         new_resid = frob(total - products[j] + new_prod - T)
@@ -208,8 +210,8 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
             if best_resid <= stop_at:
                 stop_reason = "target" if best_resid <= config.target_residual else "floor"
                 break
-            since_improve = since_improve + 1 if cur > prev - config.stall_rtol * max(1.0, prev) else 0
-            if since_improve >= config.stall_iterations:
+            since_improve = since_improve + 1 if cur > prev - _STALL_RTOL * max(1.0, prev) else 0
+            if since_improve >= _STALL_ITERATIONS:
                 stop_reason = "stall"
                 break
         if best_resid <= stop_at:

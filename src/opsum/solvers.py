@@ -217,8 +217,6 @@ def _zero_form_vector_2x2(C: np.ndarray, tiny: float) -> np.ndarray:
     """
     H = (C + C.conj().T) / 2.0
     K = (C - C.conj().T) / 2.0j
-    H = (H + H.conj().T) / 2.0
-    K = (K + K.conj().T) / 2.0
     mu, U = np.linalg.eigh(H)
     lam_minus = max(-float(mu[0]), 0.0)
     lam_plus = max(float(mu[1]), 0.0)

@@ -166,6 +166,36 @@ def test_luders_demo_nan_lambda_exit_1(workdir):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["inf", "=-inf", "infj", "nan"])
+def test_luders_demo_non_finite_lambda_exit_1(workdir, capsys, lam):
+    out = workdir / "d.json"
+    flag = "--lambda" + lam if lam.startswith("=") else "--lambda=" + lam
+    assert main(["luders-demo", flag, "--output", str(out)]) == EXIT_USAGE
+    assert "lambda must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam, value", [
+    ("i", "0+1j"), ("-i", "0-1j"), ("2i", "0+2j"), ("-1+1i", "-1+1j")])
+def test_luders_demo_imaginary_unit_i(workdir, capsys, lam, value):
+    # every such lambda is off [0, inf): the parsed value shows in the rejection
+    code = main(["luders-demo", "--lambda=" + lam, "--output", str(workdir / "d.json")])
+    assert code == EXIT_OBSTRUCTION
+    assert f"lambda = {value} is not attainable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "optimize"])
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan", "x"])
+def test_bad_tol_exit_1(workdir, capsys, command, tol):
+    source = "idpair.json" if command == "spectrum" else "id2.json"
+    out = workdir / "out"
+    code = main([command, "--input", str(workdir / source), "--output", str(out),
+                 "--tol=" + tol])
+    assert code == EXIT_USAGE
+    assert "usage error: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_luders_demo_rejection_carries_bound(workdir, capsys):
     code = main(["luders-demo", "--lambda=-1", "--output", str(workdir / "d.json")])
     assert code == EXIT_OBSTRUCTION

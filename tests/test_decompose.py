@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import warnings
 
@@ -126,13 +127,12 @@ def test_four_summands_n256(rng):
     assert report.passed, report.failures()
 
 
-@pytest.mark.parametrize("a1_mode", ["scalar", "two-point"])
 @pytest.mark.parametrize("n", [8, 64])
-def test_four_summands_statistics_match_verify(rng, n, a1_mode):
+def test_four_summands_statistics_match_verify(rng, n):
     # the result reads spectra off the middles P; verify recomputes them from
     # the summand values S P S^-1
     T = random_real_trace(rng, n, trace=float(n))
-    result = four_summands(T, FourSummandParams(a1_mode=a1_mode))
+    result = four_summands(T)
     report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=n,
                                   min_pairwise_gap=0.0)
     checks = {c.name: c for c in report.checks}
@@ -167,16 +167,6 @@ def test_four_summands_nudges_weights_apart(n, margin):
     assert report.passed, report.failures()
 
 
-def test_four_summands_two_point_mode(rng):
-    T = random_real_trace(rng, 8, trace=6.0)
-    result = four_summands(T, FourSummandParams(a1_mode="two-point"))
-    assert isinstance(result, DecompositionResult)
-    assert result.reconstruction_residual <= 1e-7
-    # first middle block now carries up to three distinct eigenvalues
-    assert result.spectra_point_counts[0] <= 3
-    assert verify_decomposition(T, result, tol=1e-6).passed
-
-
 def test_four_summands_explicit_parameters(rng):
     T = random_real_trace(rng, 4, trace=8.0)
     result = four_summands(T, FourSummandParams(delta=0.25, beta=0.5))
@@ -187,8 +177,24 @@ def test_four_summands_explicit_parameters(rng):
 
 def test_four_summands_infeasible_parameters(rng):
     T = random_real_trace(rng, 4, trace=1.0)
-    with pytest.raises(ParameterError):
-        four_summands(T, FourSummandParams(delta=10.0, beta=10.0))
+    for params, name in [(FourSummandParams(delta=10.0, beta=10.0), "trace(a1)"),
+                         (FourSummandParams(delta=10.0), "beta"),
+                         (FourSummandParams(beta=10.0), "delta")]:
+        with pytest.raises(ParameterError, match=rf"leaves {re.escape(name)} = "):
+            four_summands(T, params)
+
+
+@pytest.mark.parametrize("field_name", ["a1_mode", "b_weights", "sep_margin"])
+def test_four_summand_params_removed_fields_rejected(field_name):
+    assert [f.name for f in dataclasses.fields(FourSummandParams)] == ["delta", "beta"]
+    with pytest.raises(TypeError, match=field_name):
+        FourSummandParams(**{field_name: 1})
+
+
+def test_four_summands_solver_config_removed(rng):
+    T = random_real_trace(rng, 4, trace=4.0)
+    with pytest.raises(TypeError, match="solver_config"):
+        four_summands(T, solver_config=None)
 
 
 def test_four_summands_summand_structure(rng):
@@ -508,10 +514,10 @@ def test_zero_diagonalization_failure_declines(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("field_name", [
-    "sep_margin", "preprocess_cond_cap", "preprocess_retries"])
+    "sep_margin", "preprocess_cond_cap", "preprocess_retries", "constructive_tol"])
 def test_decomp_config_removed_fields_rejected(field_name):
     assert [f.name for f in dataclasses.fields(DecompConfig)] == [
-        "allow_search_fallback", "search", "seed", "constructive_tol"]
+        "allow_search_fallback", "search", "seed"]
     with pytest.raises(TypeError, match=field_name):
         DecompConfig(**{field_name: 1})
 
@@ -520,8 +526,7 @@ def test_decomp_config_defaults_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         DecompConfig()
-        DecompConfig(allow_search_fallback=False, search=None, seed=0,
-                     constructive_tol=1e-8)
+        DecompConfig(allow_search_fallback=False, search=None, seed=0)
 
 
 @pytest.mark.parametrize("field_name, value", [
