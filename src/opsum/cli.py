@@ -20,7 +20,6 @@ from .core import positivity_certificate
 from .decompose import (
     DeclinedError,
     DecompositionResult,
-    FourSummandParams,
     ObstructionCertificate,
     four_summands,
     three_summands,
@@ -82,6 +81,17 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _parse_positive_int(text: str) -> int:
+    """An integer >= 1; argparse prefixes a rejection with the flag name."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 5:
@@ -134,7 +144,7 @@ def _result_dict(result: DecompositionResult) -> dict:
 def _cmd_decompose(args) -> int:
     T = serialize.load_matrix(args.input)
     if args.summands == 4:
-        result = four_summands(T, FourSummandParams())
+        result = four_summands(T)
     else:
         result = three_summands(T) if args.summands == 3 else two_summands(T)
     if isinstance(result, ObstructionCertificate):
@@ -166,17 +176,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_luders_demo(args) -> int:
-    lam = args.lam
     if args.input:
         pairs = serialize.load_pairs(args.input)
     else:
-        if lam.real < 0 or lam.imag != 0:
-            # let the construction reject with the analytic bound
-            pairs = scalar_product_pairs(max(lam.real, 0.0), args.k, args.m)
-        else:
-            rng = np.random.default_rng(args.seed)
-            pairs = scalar_product_pairs(lam.real, args.k, args.m, rng=rng)
-    demo = plant_luders_eigenvalue(lam, pairs)
+        # a lambda off [0, inf) is rejected, with its bound, before the pairs are read
+        pairs = scalar_product_pairs(max(args.lam.real, 0.0), args.k, args.m,
+                                     rng=np.random.default_rng(args.seed))
+    demo = plant_luders_eigenvalue(args.lam, pairs)
     serialize.dump_json({
         "lambda": _complex_to_pair(demo.lam),
         "eigen_residual": demo.eigen_residual,
@@ -259,8 +265,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--input", default=None, help="optional coefficient pairs file")
-    p.add_argument("--k", type=int, default=2, help="half-space dimension")
-    p.add_argument("--m", type=int, default=3, help="number of coefficient pairs")
+    p.add_argument("--k", type=_parse_positive_int, default=2, help="half-space dimension")
+    p.add_argument("--m", type=_parse_positive_int, default=3,
+                   help="number of coefficient pairs")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_luders_demo)
 

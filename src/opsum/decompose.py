@@ -229,14 +229,15 @@ def _positive_product(S, P, cond: float, cond_cap: float = 1e12):
 def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
     """Residual, spectrum statistics and product form of finished summands.
 
-    Each value S P S^-1 has the spectrum of its Hermitian PSD middle P, so
-    the statistics read the spectra off P; the product form reuses the
-    cached cond(S) of every summand.
+    Each value S P S^-1 has the spectrum of its middle P, and every pipeline
+    builds P with ``np.diag``, so the statistics read each spectrum off the
+    sorted diagonal of P; the product form reuses the cached cond(S) of
+    every summand.
     """
     summands = tuple(summands)
     residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
     counts, gap = _summand_statistics(
-        [np.linalg.eigvalsh(s.P) for s in summands], op_norm(T))
+        [np.sort(np.diagonal(s.P).real) for s in summands], op_norm(T))
     return DecompositionResult(
         summands=summands, reconstruction_residual=float(residual),
         spectra_point_counts=counts, pairwise_spectra_gap=gap,
@@ -339,20 +340,16 @@ def four_summands(T, params: FourSummandParams | None = None):
     k = n // 2
     t = float(np.trace(A_full).real)
     tr_a1, delta, beta = _tune_parameters(t, k, params)
-    a1_diag = np.full(k, tr_a1 / k)
+    alpha = tr_a1 / k   # the first middle's top block is alpha I
 
     sep_goal = min(1e-3, beta / 10.0, delta / 10.0)
     base_weights = np.asarray(B_WEIGHTS, dtype=float)
     weights = base_weights
     for attempt in range(25):
-        b = beta * weights
-        a = b + delta
-        groups = [np.array([0.0, a1_diag[0]])] + \
-                 [np.array([b[j], a[j]]) for j in range(3)]
-        gap = min(
-            float(np.abs(gi[:, None] - gj[None, :]).min())
-            for idx, gi in enumerate(groups)
-            for gj in groups[idx + 1:])
+        # middle j is diag(p_j I, q_j I), listed as (p_j, q_j)
+        middles = [(alpha, 0.0)] + [(b + delta, b) for b in beta * weights]
+        gap = min(abs(u - v) for i, mi in enumerate(middles)
+                  for mj in middles[i + 1:] for u in mi for v in mj)
         if gap >= sep_goal:
             break
         weights = _nudge_weights(base_weights, attempt + 1)
@@ -366,15 +363,14 @@ def four_summands(T, params: FourSummandParams | None = None):
     C = A_full[k:, :k]
     D = A_full[k:, k:]
     eye = np.eye(k, dtype=complex)
-    a1 = np.diag(a1_diag).astype(complex)
 
-    T0 = (A + D - a1 - (2.0 * beta + 3.0 * delta) * eye) / delta
+    T0 = (A + D - alpha * eye - (2.0 * beta + 3.0 * delta) * eye) / delta
     T0 = T0 - (np.trace(T0) / k) * eye   # absorb the (tiny) residual trace
     comm = commutator_solve(T0)
     x4, y4 = comm.X, comm.Y
 
-    x3 = (A - a1 - (beta + 3.0 * delta) * eye) / delta - x4 @ y4
-    x1 = -np.linalg.solve(a1, B + delta * (x3 + x4))
+    x3 = (A - alpha * eye - (beta + 3.0 * delta) * eye) / delta - x4 @ y4
+    x1 = -(B + delta * (x3 + x4)) / alpha
     y2 = C / delta - (eye + x3 + y4 + y4 @ x4 @ y4)
 
     # the second diagonal block closes automatically; kept as a regression
@@ -385,21 +381,13 @@ def four_summands(T, params: FourSummandParams | None = None):
         raise RuntimeError(
             f"internal block identity violated: {block_identity:.3e}")
 
+    # similarity pairs (x_j, y_j) of S_j = [[I, x_j], [y_j, I + y_j x_j]]
     zero = np.zeros((k, k), dtype=complex)
-
-    def two_block(u, x, y, z):
-        return np.block([[u, x], [y, z]])
-
-    summands = (
-        make_summand(two_block(eye, x1, zero, eye),
-                     two_block(a1, zero, zero, zero)),
-        make_summand(two_block(eye, zero, y2, eye),
-                     np.diag(np.concatenate([np.full(k, a[0]), np.full(k, b[0])])).astype(complex)),
-        make_summand(two_block(eye, x3, eye, eye + x3),
-                     np.diag(np.concatenate([np.full(k, a[1]), np.full(k, b[1])])).astype(complex)),
-        make_summand(two_block(eye, x4, y4, eye + y4 @ x4),
-                     np.diag(np.concatenate([np.full(k, a[2]), np.full(k, b[2])])).astype(complex)),
-    )
+    similarities = ((x1, zero), (zero, y2), (x3, eye), (x4, y4))
+    summands = tuple(
+        make_summand(np.block([[eye, x], [y, eye + y @ x]]),
+                     np.diag(np.repeat([p, q], k)).astype(complex))
+        for (x, y), (p, q) in zip(similarities, middles))
     return _finish(A_full, summands, "four-term", {
         "delta": delta, "beta": beta, "trace_a1": tr_a1,
         "b_weights": tuple(float(w) for w in weights),

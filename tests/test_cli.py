@@ -196,6 +196,51 @@ def test_bad_tol_exit_1(workdir, capsys, command, tol):
     assert not out.exists()
 
 
+def test_spectrum_tol_written(workdir):
+    out = workdir / "spec.json"
+    code = main(["spectrum", "--input", str(workdir / "idpair.json"),
+                 "--output", str(out), "--tol", "1e-6"])
+    assert code == EXIT_OK
+    assert '"tolerance": 1e-06' in out.read_text()
+
+
+def test_optimize_tol_stops_at_target(workdir):
+    out = workdir / "opt.csv"
+    code = main(["optimize", "--input", str(workdir / "id2.json"),
+                 "--output", str(out), "--tol", "1e-3"])
+    assert code == EXIT_OK
+    summary = json.loads((workdir / "opt.csv.json").read_text())
+    assert summary["stop_reason"] == "target"
+    assert summary["best_residual"] <= 1e-3
+
+
+@pytest.mark.parametrize("lam, code, message", [
+    ("2", EXIT_OK, "planted eigenvalue 2"),
+    ("1", EXIT_USAGE, "misses lam * I")])
+def test_luders_demo_input_pairs(workdir, capsys, lam, code, message):
+    pairs = scalar_product_pairs(2.0, 2, 3, rng=np.random.default_rng(0))
+    serialize.save_pairs(workdir / "pairs.json", pairs)
+    out = workdir / "d.json"
+    assert main(["luders-demo", "--lambda", lam, "--input", str(workdir / "pairs.json"),
+                 "--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == EXIT_OK else captured.err)
+    assert out.exists() == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("flag", ["--k", "--m"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
+@pytest.mark.parametrize("lam", ["1", "-1"])
+def test_luders_demo_nonpositive_size_exit_1(workdir, capsys, flag, value, lam):
+    # the size flags are checked before lambda, so an off-axis lambda exits 1 too
+    out = workdir / "d.json"
+    code = main(["luders-demo", "--lambda=" + lam, "--output", str(out), flag, value])
+    assert code == EXIT_USAGE
+    assert f"usage error: argument {flag}: expects a positive integer" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_luders_demo_rejection_carries_bound(workdir, capsys):
     code = main(["luders-demo", "--lambda=-1", "--output", str(workdir / "d.json")])
     assert code == EXIT_OBSTRUCTION

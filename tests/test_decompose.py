@@ -206,6 +206,33 @@ def test_four_summands_summand_structure(rng):
         assert frob(s.S @ s.P @ np.linalg.inv(s.S) - s.value) <= 1e-10 * max(1.0, frob(s.value))
 
 
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_four_summands_documented_block_form(n):
+    # S_j = [[I, x_j], [y_j, I + y_j x_j]] with y_1 = 0, x_2 = 0, y_3 = I, and
+    # middles diag(p_j I, q_j I) with q_1 = 0 and p_j - q_j = delta for j >= 2
+    T = random_real_trace(np.random.default_rng([n, 0]), n, float(n))
+    result = four_summands(T)
+    k = n // 2
+    eye = np.eye(k)
+    delta = result.diagnostics["delta"]
+    for j, s in enumerate(result.summands):
+        x, y = s.S[:k, k:], s.S[k:, :k]
+        assert np.array_equal(s.S[:k, :k], eye)
+        assert frob(s.S[k:, k:] - (eye + y @ x)) <= 1e-12 * frob(eye + y @ x)
+        p, q = s.P[0, 0].real, s.P[k, k].real
+        assert np.array_equal(s.P, np.diag(np.repeat([p, q], k)))
+        # the statistics read each spectrum off the diagonal of P
+        assert np.array_equal(np.sort(np.diagonal(s.P).real), np.linalg.eigvalsh(s.P))
+        if j == 0:
+            assert q == 0.0
+        else:
+            assert abs((p - q) - delta) <= 4 * np.finfo(float).eps * p
+    assert np.array_equal(result.summands[0].S[k:, :k], np.zeros((k, k)))
+    assert np.array_equal(result.summands[1].S[:k, k:], np.zeros((k, k)))
+    assert np.array_equal(result.summands[2].S[k:, :k], eye)
+    assert result.spectra_point_counts == (2, 2, 2, 2)
+
+
 def test_verify_rejects_perturbed_summand(rng):
     T = random_real_trace(rng, 4, trace=5.0)
     result = four_summands(T)
