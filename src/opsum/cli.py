@@ -101,7 +101,10 @@ def _parse_grid(text: str) -> GridSpec:
         steps = int(parts[4])
     except ValueError as exc:
         raise UsageError(f"cannot parse grid {text!r}") from exc
-    return GridSpec(re0, re1, im0, im1, steps)
+    try:
+        return GridSpec(re0, re1, im0, im1, steps)
+    except ValueError as exc:
+        raise UsageError(f"--grid {text!r}: {exc}") from exc
 
 
 def _complex_to_pair(z: complex):
@@ -285,7 +288,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--sizes", default="2,4")
     p.add_argument("--margins", default="1,0.1,0.01")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_parse_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_study)
 

@@ -176,8 +176,11 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
 
     True iff ``M`` is Hermitian within ``tol * ||M||`` and the smallest
     eigenvalue of its Hermitian part is at least ``-tol * ||M||``.  Both
-    comparisons are screened in O(n^2) before any SVD runs (see
-    :func:`_psd_test`); the verdict is the one the exact norms give.
+    comparisons are screened in O(n^2) before any SVD runs, a diagonal
+    ``M`` has its spectrum read off the diagonal, and an exactly Hermitian
+    ``M`` that a shifted Cholesky factorization proves PSD needs no
+    eigensolve (see :func:`_psd_test`); the verdict is the one the exact
+    norms give.
     """
     return _psd_test(as_square_matrix(M), tol)
 
@@ -202,9 +205,16 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     defect ``||A - A*||`` lies in [F / sqrt(n), F] with F = ||A - A*||_F.
     Without ``scale``, ``||A||`` lies in [||A||_F / sqrt(n), ||A||_F] and
     within F / 2 of the largest eigenvalue modulus h of the Hermitian part,
-    which the ``eigvalsh`` for ``lam_min`` yields.  A screen decides only
-    when it clears its threshold by the relative margin ``_SCREEN_MARGIN``;
+    which the spectrum for ``lam_min`` yields.  A screen decides only when
+    it clears its threshold by the relative margin ``_SCREEN_MARGIN``;
     otherwise the exact SVDs run.
+
+    Without ``lam_min``, a diagonal ``A`` has Hermitian part diag(Re a_ii),
+    whose sorted diagonal is its spectrum (``eigvalsh`` returns the same
+    bits).  An exactly Hermitian ``A`` is first offered to
+    :func:`_cholesky_clears` with the lower bound of the PSD threshold: a
+    factorization proves the verdict True without an eigensolve.  A failed
+    one proves nothing, and ``eigvalsh`` runs as for any other subject.
     """
     if not A.any():
         return True
@@ -220,7 +230,13 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     if defect / root_n > tol * hi * (1.0 + margin):
         return False
     if lam_min is None:
-        w = np.linalg.eigvalsh(hermitian_part(A))
+        diagonal = np.diagonal(A)
+        if np.count_nonzero(A) == np.count_nonzero(diagonal):
+            w = np.sort(diagonal.real)
+        elif defect == 0.0 and _cholesky_clears(A, tol * lo * (1.0 - margin)):
+            return True
+        else:
+            w = np.linalg.eigvalsh(hermitian_part(A))
         lam_min = float(w[0])
         h = max(-w[0], w[-1])
         lo, hi = max(lo, h - defect / 2.0), min(hi, h + defect / 2.0)
@@ -241,6 +257,33 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     return lam_min >= -tol * scale
 
 
+def _cholesky_clears(H: np.ndarray, bound: float) -> bool:
+    """True if a Cholesky factorization proves lam_min(H) >= -bound, for an
+    exactly Hermitian H.
+
+    Factorizing fl(H + cI), c = bound - slack, runs to completion with a
+    factor R whose R* R equals H + cI + E, where E holds the rounding of the
+    shift and Cholesky's backward error |E_2| <= gamma_(n+1) |R*| |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3).  So
+    ||E_2|| <= gamma ||R||_F^2, and ||R||_F^2 = tr(R* R) is at most
+    (sum |h_ii| + n c) / (1 - gamma).  With gamma = 8 (n + 1) eps, over four
+    times the complex-arithmetic constant, ``slack`` = 2 gamma
+    (sum |h_ii| + n bound) covers ||E||, and R* R >= 0 gives
+    lam_min(H) >= -c - ||E|| >= -bound.  When ``slack`` leaves no room the
+    factorization is not tried.
+    """
+    n = H.shape[0]
+    gamma = 8.0 * (n + 1) * np.finfo(float).eps
+    slack = 2.0 * gamma * (float(np.abs(np.diagonal(H)).sum()) + n * bound)
+    if not slack < bound:
+        return False
+    try:
+        np.linalg.cholesky(H + (bound - slack) * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class PsdCertificate:
     """Positivity classification of a square matrix.
@@ -252,7 +295,9 @@ class PsdCertificate:
     kind; for ``"similar-to-positive"`` either the caller's candidate with
     its columns scaled to unit norm or the eigenvector matrix from ``eig``.
     ``witness_residual`` is the verified reconstruction error
-    ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V).
+    ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V); for an
+    accepted candidate the residual is the Frobenius norm, an upper bound on
+    the operator norm, unless that bound came too close to the threshold.
     ``min_eigenvalue`` always refers to the Hermitian part,
     ``diagonalizability_gap`` is the smallest distance between two distinct
     entries of ``eigenvalues`` (a conditioning diagnostic, inf for 1x1).
@@ -354,8 +399,11 @@ def positivity_certificate(
         else:
             Vinv = np.linalg.inv(V)
             d = np.real(np.einsum("ij,ji->i", Vinv @ A, V))
-            resid = op_norm((V * d) @ Vinv - A)
             allowed = min(tol, _WITNESS_ROUNDING) * max(1.0, cond) * max(1.0, scale)
+            R = (V * d) @ Vinv - A
+            resid = frob(R)   # an upper bound on ||R||; close calls take the SVD
+            if resid * (1.0 + _SCREEN_MARGIN) > allowed:
+                resid = op_norm(R)
             if d.min() < -tol_abs:
                 rejected = f"diagonal entry {d.min():.3e} below {-tol_abs:.3e}"
             elif resid > allowed:

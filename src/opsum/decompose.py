@@ -105,8 +105,35 @@ class SimilaritySummand:
 
     def candidate_witness(self) -> np.ndarray:
         """S W with P = W diag(p) W* from ``eigh``: a basis that diagonalizes
-        S P S^-1 when P is Hermitian, for :func:`positivity_certificate`."""
+        S P S^-1 when P is Hermitian, for :func:`positivity_certificate`.
+
+        For a diagonal P, W is the permutation in which ``eigh`` lists the
+        diagonal (:func:`_eigh_order`), so S W is a column selection of S
+        with the same bits and no eigensolve runs.
+        """
+        p = np.diagonal(self.P)
+        if np.count_nonzero(self.P) == np.count_nonzero(p):
+            return np.take(self.S, _eigh_order(p.real), axis=1)
         return self.S @ np.linalg.eigh(self.P)[1]
+
+
+def _eigh_order(d: np.ndarray) -> np.ndarray:
+    """The order in which LAPACK's ``heevd`` returns the eigenvalues of diag(d).
+
+    The tridiagonal stage leaves a diagonal untouched and ends in a selection
+    sort that swaps each smallest remaining entry, its first occurrence, into
+    place.  Among equal entries that order is not the stable one (it is for
+    two equal-length blocks), and a different column order of the witness
+    would change the certificate's rounding.
+    """
+    d = d.copy()
+    order = np.arange(len(d))
+    for i in range(len(d) - 1):
+        j = i + int(np.argmin(d[i:]))
+        if j != i:
+            d[i], d[j] = d[j], d[i]
+            order[i], order[j] = order[j], order[i]
+    return order
 
 
 def make_summand(S, P) -> SimilaritySummand:

@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
+from functools import partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,7 +52,7 @@ def matrix_to_dict(M) -> dict:
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in A.ravel()],
+        "entries": np.ascontiguousarray(A).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -111,13 +115,62 @@ def pairs_from_dict(d) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def dump_json(obj, path):
-    """Write JSON deterministically (sorted keys, no NaN/Inf).
+#: The encoding :func:`dump_json` reproduces.
+_dumps = partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
 
-    The text is encoded before the file is opened, so a value that cannot
-    be encoded raises and leaves ``path`` untouched.
+
+def _encode(obj, indent: str) -> str:
+    """``_dumps(obj)`` laid out at the nesting prefix ``indent``.
+
+    Dicts with string keys and lists are laid out here, and a list of
+    [float, float] pairs (a matrix's ``entries``) in one C-level join of
+    ``float.__repr__`` strings, which is what ``json`` writes for a float.
+    Strings, ints and finite floats are written as ``json`` writes them.
+    Anything else, non-finite floats included, goes to ``json.dumps``; no
+    JSON string holds a raw newline, so re-indenting its output is safe.
     """
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    inner = indent + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (f"{encode_basestring_ascii(key)}: {_encode(obj[key], inner)}"
+                 for key in sorted(obj))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(obj) is list and obj:
+        pairs = _encode_pairs(obj, inner)
+        if pairs is not None:
+            return "[\n" + inner + pairs + "\n" + indent + "]"
+        items = (_encode(value, inner) for value in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    return _dumps(obj).replace("\n", "\n" + indent)
+
+
+def _encode_pairs(lst: list, indent: str) -> str | None:
+    """The items of a list of finite [float, float] pairs at ``indent``, else None."""
+    if set(map(type, lst)) != {list} or set(map(len, lst)) != {2}:
+        return None
+    flat = list(chain.from_iterable(lst))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    inner = indent + "  "
+    close = "\n" + indent + "]"
+    numbers = iter(map(float.__repr__, flat))
+    pairs = map((",\n" + inner).join, zip(numbers, numbers))
+    return "[\n" + inner + (close + ",\n" + indent + "[\n" + inner).join(pairs) + close
+
+
+def dump_json(obj, path):
+    """Write ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    and a newline to ``path``.
+
+    ``json`` encodes with ``indent`` in pure Python, so the layout is built
+    here instead (see :func:`_encode`), byte for byte the same.  The text is
+    encoded before the file is opened, so a value that cannot be encoded,
+    such as NaN or inf, raises ``ValueError`` and leaves ``path`` untouched.
+    """
+    text = _encode(obj, "")
     with open(path, "w") as f:
         f.write(text + "\n")
 

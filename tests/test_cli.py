@@ -285,6 +285,15 @@ def test_study_deterministic(workdir):
     assert header == "n,trace_margin,trial,max_cond_S,residual,success"
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_study_rejects_nonpositive_trials(workdir, capsys, trials):
+    out = workdir / "s.csv"
+    assert main(["study", "--sizes", "2", "--trials", trials,
+                 "--output", str(out)]) == EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pseudospectrum_csv(workdir):
     out = workdir / "ps.csv"
     code = main(["pseudospectrum", "--input", str(workdir / "idpair.json"),
@@ -293,6 +302,16 @@ def test_pseudospectrum_csv(workdir):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "re,im,sigma_min"
     assert len(lines) == 1 + 16
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_pseudospectrum_nonpositive_grid_steps_say_why(workdir, capsys, steps):
+    out = workdir / "ps.csv"
+    assert main(["pseudospectrum", "--input", str(workdir / "idpair.json"),
+                 "--output", str(out), f"--grid=-1,2,-1,1,{steps}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"usage error: --grid '-1,2,-1,1,{steps}': grid must have at least one step\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(workdir):

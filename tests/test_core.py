@@ -205,6 +205,10 @@ def _psd_test_subject(kind, n, seed, tol=1e-9):
     U = random_unitary(rng, n)
     d = rng.uniform(0.5, 1.0, size=n)
     d[0] = 1e-10 if kind in ("near-psd-above", "band") else -1e-10
+    if kind.startswith("edge"):
+        # exactly Hermitian, smallest eigenvalue -(1 -+ 1e-3) tol ||M||: just
+        # inside ("edge-in") or just outside ("edge-out") the PSD threshold
+        d[0] = -(1.0 - 1e-3 if kind == "edge-in" else 1.0 + 1e-3) * tol * d.max()
     M = (U * d) @ U.conj().T
     M = (M + M.conj().T) / 2.0
     if not kind.startswith(("skew", "band")):
@@ -251,7 +255,7 @@ def _is_psd_two_svds(M, tol):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["skew-0.5", "skew-0.99", "skew-1.01", "skew-2", "band",
                              "hermitian", "psd", "near-psd-above", "near-psd-below",
-                             "non-hermitian", "zero"]),
+                             "edge-in", "edge-out", "non-hermitian", "zero"]),
        n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        tol=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8]))
 def test_is_psd_screens_agree_with_exact_norms(kind, n, seed, tol):
@@ -262,6 +266,42 @@ def test_is_psd_screens_agree_with_exact_norms(kind, n, seed, tol):
     assert core.is_psd(M, tol) == _is_psd_two_svds(M, tol)
     assert (core.positivity_certificate(M, tol).kind == "positive-semidefinite") \
         == _is_psd_two_svds(M, tol)
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 128, 256])
+@pytest.mark.parametrize("tol", [1e-9, 1e-8])
+@pytest.mark.parametrize("kind", ["edge-in", "edge-out"])
+def test_is_psd_cholesky_screen_at_the_threshold(kind, n, tol):
+    # exactly Hermitian subjects take the Cholesky screen; it must never
+    # accept a subject that the two-SVD oracle rejects
+    for seed in range(3):
+        M = _psd_test_subject(kind, n, seed, tol)
+        assert np.array_equal(M, M.conj().T)
+        expected = _is_psd_two_svds(M, tol)
+        assert expected == (kind == "edge-in")
+        assert core.is_psd(M, tol) == expected
+        if not expected:
+            assert not core._cholesky_clears(M, tol * core.op_norm(M))
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256])
+def test_cholesky_screen_accepts_psd_and_proves_its_bound(n):
+    # a factorization proves lam_min >= -bound; the screen accepts PSD
+    # subjects, spread spectra included, and rejects a negative eigenvalue
+    # beyond the bound
+    rng = np.random.default_rng(n)
+    U = random_unitary(rng, n)
+    for d in (rng.uniform(0.5, 1.0, n), np.logspace(-12, 0, n), np.zeros(n)):
+        d = d.copy()
+        d[0] = 0.0
+        M = (U * d) @ U.conj().T
+        M = (M + M.conj().T) / 2.0
+        if d.any():
+            assert core._cholesky_clears(M, 1e-9)
+            assert core.is_psd(M)
+        d[0] = -2e-9
+        M = (U * d) @ U.conj().T
+        assert not core._cholesky_clears((M + M.conj().T) / 2.0, 1e-9)
 
 
 @pytest.mark.parametrize("c, expected", [(0.5, True), (0.99, True), (1.01, False), (2.0, False)])

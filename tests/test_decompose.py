@@ -314,23 +314,51 @@ def test_verify_fails_non_hermitian_middle_with_jordan_value():
     assert sim.detail.startswith(
         "summand 0: neither (candidate witness rejected: reconstruction residual")
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
-    # every summand is certified by its own witness S W: no eig or eigvals
+    # every summand is certified by its own witness S W: no eig or eigvals.
+    # The middles are diagonal, so neither their PSD tests nor the witnesses
+    # need eigh or eigvalsh, and the product-form factors pass a Cholesky
+    # screen; what is left is the 2x2 plane solves of the zero-diagonalization
+    # and one eigvalsh per certificate for its recorded min_eigenvalue
     calls = []
-    for name in ("eig", "eigvals"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)[0]))
+            return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     T = random_real_trace(np.random.default_rng([n, seed]), n, n * 1.0)
     result = four_summands(T)
+    assert all(call == ("eigh", 2) for call in calls)
+    calls.clear()
     report = verify_decomposition(T, result, max_spectrum_points=2, min_pairwise_gap=1e-3)
     assert report.passed
-    assert calls == []
+    assert calls == [("eigvalsh", n)] * 4
+
+
+@pytest.mark.parametrize("n, margin", [(4, 1.0), (4, 0.1), (8, 1.0), (8, 0.1), (16, 1.0),
+                                       (16, 0.1), (32, 1.0), (32, 0.1), (64, 1.0), (128, 1.0)])
+def test_diagonal_middle_witness_is_eigh_witness_bit_for_bit(n, margin):
+    T = random_real_trace(np.random.default_rng([n, 3]), n, margin * n)
+    for s in four_summands(T).summands:
+        witness = s.candidate_witness()
+        assert witness.flags.c_contiguous
+        assert witness.tobytes() == (s.S @ np.linalg.eigh(s.P)[1]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 26, 33, 65])
+def test_eigh_order_matches_eigh_on_ties(n):
+    # unequal blocks of equal entries are where a stable sort and eigh differ
+    rng = np.random.default_rng(n)
+    S = random_invertible(rng, n)
+    for values in ([0.5], [0.7, 0.2], [0.0, 0.3, 0.1]):
+        P = np.diag(rng.choice(values, n)).astype(complex)
+        W = np.linalg.eigh(P)[1]
+        assert np.array_equal(W, np.eye(n)[:, opsum.decompose._eigh_order(np.diagonal(P).real)])
+        assert make_summand(S, P).candidate_witness().tobytes() == (S @ W).tobytes()
 
 
 def test_verify_fails_ill_conditioned_summand():

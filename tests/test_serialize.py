@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsum import serialize
 from opsum.randmat import random_complex
@@ -66,6 +67,57 @@ def test_dump_json_layout(tmp_path):
     assert path.read_text() == (
         '{\n  "a": {\n    "y": null,\n    "z": 1\n  },\n'
         '  "b": [\n    1.5,\n    -0.0\n  ]\n}\n')
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number = st.one_of(_finite, st.integers(-2**70, 2**70), _finite.map(np.float64),
+                    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]))
+# float pairs take the writer's bulk path, mixed pairs the element-wise one
+_pairs = st.one_of(*(st.lists(st.lists(x, min_size=2, max_size=2), max_size=6)
+                     for x in (_finite, _number)))
+_leaf = st.one_of(st.none(), st.booleans(), _number, st.text(max_size=4), _pairs)
+_document = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+def _reference_bytes(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=_document)
+def test_dump_json_matches_json_dumps(obj, tmp_path_factory):
+    path = tmp_path_factory.mktemp("dump") / "out.json"
+    serialize.dump_json(obj, path)
+    assert path.read_bytes() == _reference_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], [[]], [{}], {"a": []}, {"a": {}}, [[1.0, 2.0], []], [[1.0, 2.0], [3.0]],
+    [[1, 2.0], [np.float64(-0.0), 5e-324]], [[1e308, -0.0], [True, None]],
+    {"\u00e9\n\"\\": [[0.1, -2.5e-300]], "\ud83d": None, "": [1.5, 2]},
+    {"entries": np.ones((3, 2)).tolist()},
+    {"p": ([1.0, 2.0],), "q": [(1.0, 2.0)], "r": {2: "integer keys", 1: [[1.0, 2.0]]}},
+])
+def test_dump_json_matches_json_dumps_on_edge_cases(obj, tmp_path):
+    path = tmp_path / "out.json"
+    serialize.dump_json(obj, path)
+    assert path.read_bytes() == _reference_bytes(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+@pytest.mark.parametrize("where", ["value", "pair", "nested-pair"])
+def test_dump_json_rejects_nonfinite_and_leaves_path(bad, where, tmp_path):
+    obj = {"value": bad, "pair": [[1.0, 2.0], [0.5, bad]],
+           "nested-pair": {"m": {"entries": [[bad, 0.0]] + [[1.0, 2.0]] * 50}}}[where]
+    path = tmp_path / "out.json"
+    path.write_text("earlier output\n")
+    with pytest.raises(ValueError):
+        serialize.dump_json({"x": obj}, path)
+    assert path.read_text() == "earlier output\n"
 
 
 def test_nonfinite_rejected_on_read():
