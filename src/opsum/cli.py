@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -244,7 +245,10 @@ def _cmd_pseudospectrum(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process.  Parsing leaves it unchanged:
+    every call gets a fresh namespace filled from the declared defaults."""
     parser = _Parser(prog="opsum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -369,9 +369,25 @@ def positivity_certificate(
     ``"neither"`` with a diagnostic string.
     """
     A = as_square_matrix(M)
-    scale = op_norm(A)
+    return _certificate(A, tol, cond_cap, witness, op_norm(A))
+
+
+def _certificate(A: np.ndarray, tol: float, cond_cap: float, witness, scale: float,
+                 eigenvalues: np.ndarray | None = None,
+                 eigh: tuple[np.ndarray, np.ndarray] | None = None) -> PsdCertificate:
+    """:func:`positivity_certificate` of a validated ``A`` with ``scale = ||A||``.
+
+    A caller that has factored ``A`` passes what it knows: ``eigenvalues``,
+    the spectrum of ``A``, stands in for ``eigvals``; ``eigh``, the pair
+    ``(d, V)`` of ``numpy.linalg.eigh(A)`` for an exactly Hermitian ``A``
+    (whose Hermitian part is ``A`` itself), supplies ``min_eigenvalue``, the
+    PSD witness and the eigenvector basis, so no eigensolve runs.
+    """
     tol_abs = tol * max(1.0, scale)
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(A))[0])
+    if eigh is None:
+        min_eig = float(np.linalg.eigvalsh(hermitian_part(A))[0])
+    else:
+        min_eig = float(eigh[0][0])
     issue = partial(PsdCertificate, subject=A, min_eigenvalue=min_eig,
                     tolerance=tol, scale=scale)
 
@@ -380,11 +396,11 @@ def positivity_certificate(
         return {"eigenvalues": w, "diagonalizability_gap": _pairwise_gap(w)}
 
     if _psd_test(A, tol, scale, min_eig):
-        d, V = np.linalg.eigh(hermitian_part(A))
+        d, V = np.linalg.eigh(hermitian_part(A)) if eigh is None else eigh
         resid = op_norm(V @ np.diag(np.maximum(d, 0.0)) @ V.conj().T - A)
         return issue(kind="positive-semidefinite", witness=V,
                      witness_condition=1.0, witness_residual=float(resid),
-                     **spectrum(np.linalg.eigvals(A)))
+                     **spectrum(np.linalg.eigvals(A) if eigenvalues is None else eigenvalues))
 
     rejected = ""
     if witness is not None:
@@ -413,7 +429,7 @@ def positivity_certificate(
                              witness_residual=float(resid), **spectrum(d))
         rejected = f"candidate witness rejected: {rejected}; "
 
-    w = np.linalg.eigvals(A)
+    w = np.linalg.eigvals(A) if eigenvalues is None else eigenvalues
     fields = spectrum(w)
     neither = partial(issue, kind="neither", witness=None, **fields)
     maxdist = float(np.max(dist_to_rplus(w)))
@@ -421,7 +437,7 @@ def positivity_certificate(
         return neither(diagnostics=f"{rejected}spectrum leaves [0, inf): max distance "
                                    f"{maxdist:.3e} exceeds {tol_abs:.3e}")
 
-    we, V = np.linalg.eig(A)
+    we, V = np.linalg.eig(A) if eigh is None else eigh
     cond = _condition(V)
     if cond > cond_cap:
         return neither(diagnostics=f"{rejected}no eigenvector basis with condition number "

@@ -16,6 +16,7 @@ transpose, appears on the B side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -23,18 +24,19 @@ from scipy.linalg.blas import zgemv, ztrsv
 from scipy.linalg.lapack import dstemr
 
 from .core import (
+    DEFAULT_COND_CAP,
     DEFAULT_TOL,
     PsdCertificate,
     ShapeError,
     SpectrumReport,
+    _certificate,
     _spectrum_report,
     as_square_matrix,
     dist_to_rplus,
-    eig,
     frob,
     is_psd,
     op_norm,
-    positivity_certificate,
+    sorted_eigenvalues,
 )
 
 __all__ = [
@@ -68,9 +70,24 @@ class UnattainableEigenvalueError(ValueError):
             f"lambda * I (the residual lower bound)")
 
 
+def _read_only(X: np.ndarray) -> np.ndarray:
+    X.setflags(write=False)
+    return X
+
+
 @dataclass(frozen=True)
 class ElementaryOperator:
-    """Ordered coefficient pairs (A_j, B_j) defining X -> sum_j A_j X B_j."""
+    """Ordered coefficient pairs (A_j, B_j) defining X -> sum_j A_j X B_j.
+
+    The superoperator matrix M, its operator norm and one spectral
+    factorization of M are computed on first use and kept, read-only, on
+    the instance: :meth:`spectrum`, :func:`hs_positivity` and
+    :func:`pseudospectrum` all read the same factorization.  It is
+    ``numpy.linalg.eigh`` when M is exactly Hermitian (every operator whose
+    coefficients are exactly Hermitian, every Lüders operation among them),
+    whose largest |eigenvalue| is then ||M||, and the complex Schur form
+    otherwise.
+    """
 
     pairs: tuple
     dim: int
@@ -82,7 +99,9 @@ class ElementaryOperator:
         """Validate coefficient pairs and detect the Lüders case.
 
         ``is_luders`` is true iff every A_j equals B_j within tolerance and
-        all coefficients are PSD.
+        all coefficients are PSD.  The coefficients are copied and kept
+        read-only, so later changes to the caller's arrays do not reach the
+        operator.
         """
         if not pairs:
             raise ValueError("coefficient list must be nonempty")
@@ -99,7 +118,7 @@ class ElementaryOperator:
             elif A.shape[0] != dim:
                 raise ShapeError(
                     f"pair {i} has dimension {A.shape[0]}, expected {dim}")
-            validated.append((A, B))
+            validated.append((_read_only(A.copy()), _read_only(B.copy())))
         luders = all(
             op_norm(A - B) <= tol * max(1.0, op_norm(A)) and is_psd(A, tol)
             for A, B in validated)
@@ -129,9 +148,47 @@ class ElementaryOperator:
             M += np.kron(B.T, A)
         return M
 
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return _read_only(self.to_matrix())
+
+    @cached_property
+    def _norm(self) -> float:
+        """||M||: the largest |eigenvalue| of a Hermitian M, else an SVD."""
+        eigh = self._eigh
+        return float(max(-eigh[0][0], eigh[0][-1])) if eigh is not None else op_norm(self._matrix)
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``eigh`` of M when M is exactly Hermitian, else None."""
+        M = self._matrix
+        if not np.array_equal(M, M.conj().T):
+            return None
+        d, V = np.linalg.eigh(M)
+        return _read_only(d), _read_only(V)
+
+    @cached_property
+    def _schur(self) -> np.ndarray:
+        """Upper triangular T of the complex Schur form M = Z T Z*, for a
+        non-Hermitian M."""
+        return _read_only(scipy.linalg.schur(self._matrix, output="complex")[0])
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        eigh = self._eigh
+        w = eigh[0] if eigh is not None else np.diagonal(self._schur)
+        return _read_only(sorted_eigenvalues(w))
+
     def spectrum(self, tol: float = DEFAULT_TOL) -> SpectrumReport:
-        """Eigenvalues of the superoperator matrix, with the R+ verdict."""
-        return eig(self.to_matrix(), tol)
+        """Eigenvalues of the superoperator matrix, with the R+ verdict.
+
+        The eigenvalues, sorted by (Re, Im), are those of the operator's one
+        factorization of M: exactly real from ``eigh`` for an exactly
+        Hermitian M, else the diagonal of the Schur form.  The verdict
+        follows :func:`opsum.core.eig` with the cached ||M|| as the scale.
+        The eigenvalue array is shared with the operator and read-only.
+        """
+        return _spectrum_report(self._eigenvalues, self._norm, tol)
 
     def coefficients_psd(self, tol: float = DEFAULT_TOL) -> bool:
         return all(is_psd(A, tol) and is_psd(B, tol) for A, B in self.pairs)
@@ -172,8 +229,17 @@ def hs_positivity(op: ElementaryOperator, tol: float = DEFAULT_TOL) -> HsPositiv
     With all coefficients PSD the superoperator matrix is Hermitian PSD, so
     the spectrum is contained in [0, inf); non-PSD coefficients typically
     yield kind ``"neither"`` with diagnostics.
+
+    The certificate is :func:`opsum.core.positivity_certificate` of M at the
+    default condition cap, built from the operator's cached M, ||M|| and
+    eigenvalues, which :meth:`ElementaryOperator.spectrum` also reports.
+    For an exactly Hermitian M the ``eigh`` pair supplies
+    ``min_eigenvalue`` and the witness, so no further eigensolve runs.  The
+    certificate's ``subject`` is the operator's read-only M, and an ``eigh``
+    witness its read-only eigenvector matrix.
     """
-    cert = positivity_certificate(op.to_matrix(), tol)
+    cert = _certificate(op._matrix, tol, DEFAULT_COND_CAP, None, op._norm,
+                        op._eigenvalues, op._eigh)
     return HsPositivityReport(
         certificate=cert,
         spectrum=_spectrum_report(cert.eigenvalues, cert.scale, tol),
@@ -294,18 +360,22 @@ def pseudospectrum(op: ElementaryOperator, grid: GridSpec) -> PseudospectrumGrid
     """Smallest singular value of (vectorized op - lambda I) over a grid.
 
     Method (Trefethen, "Computation of pseudospectra", Acta Numerica 8,
-    1999, the approach of EigTool): the superoperator matrix M (N = n^2) is
-    reduced once to complex Schur form M = Z T Z*.  Singular values are
-    unitarily invariant, so sigma_min(M - zI) = sigma_min(T - zI) at every
-    grid point z, and each point costs O(N^2) per step instead of an
-    O(N^3) SVD.
+    1999, the approach of EigTool): the grid reads the operator's one
+    spectral factorization of the superoperator matrix M (N = n^2), the one
+    :meth:`ElementaryOperator.spectrum` reports.  Singular values are
+    unitarily invariant, so each point costs at most O(N^2) per step
+    instead of an O(N^3) SVD.
 
-    - Normal M (every operator with PSD coefficients, every Lüders
-      operation): when the strictly upper part E of T has
-      ||E||_F <= N eps ||T||_F, the result is the distance min_i |T_ii - z|
-      to the Schur diagonal, for the whole grid at once.  By Weyl's bound
-      for singular values it differs from sigma_min(T - zI) by at most
-      ||E||_2 <= ||E||_F.
+    - Exactly Hermitian M (every operator whose coefficients are exactly
+      Hermitian, every Lüders operation): sigma_min(M - zI) is the distance
+      min_i |d_i - z| to the eigenvalues d of ``eigh``, for the whole grid
+      at once.
+    - Otherwise M = Z T Z* in complex Schur form and
+      sigma_min(M - zI) = sigma_min(T - zI).  For a normal M, when the
+      strictly upper part E of T has ||E||_F <= N eps ||T||_F, the result
+      is the distance min_i |T_ii - z| to the Schur diagonal; by Weyl's
+      bound for singular values it differs from sigma_min(T - zI) by at
+      most ||E||_2 <= ||E||_F.
     - Otherwise each point runs inverse Lanczos on (R* R)^-1 with
       R = T - zI upper triangular, applied through two triangular solves,
       with full reorthogonalization, from a fixed pseudorandom unit start
@@ -315,25 +385,30 @@ def pseudospectrum(op: ElementaryOperator, grid: GridSpec) -> PseudospectrumGrid
       sigma_min = 0.
 
     Accuracy: about N eps ||M|| absolute, the order of the backward error
-    of an SVD of M - zI.  Deterministic; grid points are independent, so the
-    evaluation order does not affect the result.
+    of an SVD of M - zI (and of ``eigh``).  Deterministic; grid points are
+    independent, so the evaluation order does not affect the result.
 
     Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1`` before numpy loads)
     when other BLAS-heavy processes share the cores: the many small level-2
     calls of inverse Lanczos stall under thread oversubscription.
     """
-    M = op.to_matrix()
-    N = M.shape[0]
     re = np.linspace(grid.re0, grid.re1, grid.steps)
     im = np.linspace(grid.im0, grid.im1, grid.steps)
     z = re[None, :] + 1j * im[:, None]
-    T = scipy.linalg.schur(M, output="complex")[0]
-    d = np.diag(T).copy()
-    if frob(np.triu(T, 1)) <= N * np.finfo(float).eps * frob(T):
+    if op._eigh is not None:
+        d, T = op._eigh[0], None
+    else:
+        T = op._schur
+        d = np.diagonal(T)
+        if frob(np.triu(T, 1)) <= T.shape[0] * np.finfo(float).eps * frob(T):
+            T = None
+    if T is None:
         out = np.abs(z[..., None] - d).min(axis=-1)
         return PseudospectrumGrid(re=re, im=im, sigma_min=out)
 
-    R = np.asfortranarray(T)
+    N = T.shape[0]
+    # a private copy: the loop below overwrites its diagonal
+    R = np.array(T, order="F")
     diag = np.diag_indices(N)
     # A structured start such as ones / sqrt(N) can be orthogonal to the
     # wanted singular vector (A = [[1.3, 0.6], [0, 1.1]], B = I, z = 0.3),

@@ -75,6 +75,11 @@ def matrix_from_dict(d, where: str = "matrix") -> np.ndarray:
     _require(isinstance(entries, list), f"{where}.entries", "must be an array")
     _require(len(entries) == rows * cols, f"{where}.entries",
              f"length {len(entries)} != rows*cols = {rows * cols}")
+    out = _finite_pairs(entries)
+    if out is not None:
+        return out.reshape(rows, cols)
+    # the bulk test declined: name the first bad entry, or convert the
+    # entries it does not recognise (such as float subclasses)
     out = np.empty(rows * cols, dtype=complex)
     for i, e in enumerate(entries):
         _require(isinstance(e, list) and len(e) == 2,
@@ -91,6 +96,25 @@ def matrix_from_dict(d, where: str = "matrix") -> np.ndarray:
                  f"{where}.entries[{i}]", "entries must be finite")
         out[i] = z
     return out.reshape(rows, cols)
+
+
+def _finite_pairs(entries: list) -> np.ndarray | None:
+    """``entries`` as a complex vector when every entry is a [re, im] list of
+    finite ints and floats (bools excluded), else None.
+
+    The types are tested and the numbers converted at C level; ``float``
+    rounds each int as ``complex(re, im)`` does.
+    """
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:       # a JSON integer beyond the double range
+        return None
+    return values.view(complex) if np.isfinite(values).all() else None
 
 
 def pairs_to_dict(pairs) -> dict:

@@ -204,6 +204,22 @@ def test_spectrum_tol_written(workdir):
     assert '"tolerance": 1e-06' in out.read_text()
 
 
+def test_parser_keeps_no_state_between_calls(workdir):
+    # one parser serves every call: a flag of one call must not reach the
+    # next, and a rejected call must not spoil the one after it
+    out = workdir / "spec.json"
+    spectrum = ["spectrum", "--input", str(workdir / "idpair.json"), "--output", str(out)]
+    assert main(spectrum + ["--tol", "1e-6"]) == EXIT_OK
+    assert '"tolerance": 1e-06' in out.read_text()
+    assert main(spectrum) == EXIT_OK
+    assert '"tolerance": 1e-09' in out.read_text()
+    assert main(spectrum + ["--no-such-flag"]) == EXIT_USAGE
+    assert main(["spectrum", "--input", str(workdir / "idpair.json")]) == EXIT_USAGE
+    out.unlink()
+    assert main(spectrum) == EXIT_OK
+    assert '"tolerance": 1e-09' in out.read_text()
+
+
 def test_optimize_tol_stops_at_target(workdir):
     out = workdir / "opt.csv"
     code = main(["optimize", "--input", str(workdir / "id2.json"),

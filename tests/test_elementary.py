@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opsum.core import ShapeError, dist_to_rplus, frob, matching_distance, op_norm
+from opsum.core import ShapeError, dist_to_rplus, eig, frob, matching_distance, op_norm
 from opsum.elementary import (
     ElementaryOperator,
     GridSpec,
@@ -330,9 +330,10 @@ def test_pseudospectrum_triangular_coefficient():
 
 @pytest.mark.parametrize("kind", ["generic", "luders"])
 def test_pseudospectrum_zero_on_schur_diagonal(kind, rng):
+    # the points are the eigenvalues of the factorization the grid reads:
+    # the Schur diagonal, or eigh's for the Hermitian Lüders superoperator
     op = ElementaryOperator.build(_pairs(kind, rng, 3))
-    T = scipy.linalg.schur(op.to_matrix(), output="complex")[0]
-    for lam in np.diag(T)[::2]:
+    for lam in op.spectrum().eigenvalues[::2]:
         grid = GridSpec(lam.real, lam.real, lam.imag, lam.imag, 1)
         assert pseudospectrum(op, grid).sigma_min[0, 0] == 0.0
 
@@ -384,3 +385,94 @@ def test_pseudospectrum_n16_runtime_cap(rng):
         pseudospectrum(op, grid)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < cap, f"n = 16 grid took {min(elapsed):.2f}s, cap {cap}s"
+
+
+# --- one cached factorization -----------------------------------------------
+
+def _operator_pairs(kind, rng, n):
+    if kind == "psd":
+        return [(random_psd(rng, n), random_psd(rng, n)) for _ in range(2)]
+    return _pairs(kind, rng, n)
+
+
+def _three_answers(op, grid):
+    return op.spectrum(), hs_positivity(op), pseudospectrum(op, grid)
+
+
+def _assert_same_answers(got, want):
+    (spec, hs, grid), (spec0, hs0, grid0) = got, want
+    assert np.array_equal(spec.eigenvalues, spec0.eigenvalues)
+    assert spec.max_dist_to_rplus == spec0.max_dist_to_rplus
+    cert, cert0 = hs.certificate, hs0.certificate
+    assert (cert.kind, cert.min_eigenvalue, cert.scale, cert.witness_residual) == \
+        (cert0.kind, cert0.min_eigenvalue, cert0.scale, cert0.witness_residual)
+    assert np.array_equal(cert.subject, cert0.subject)
+    assert np.array_equal(cert.eigenvalues, cert0.eigenvalues)
+    assert np.array_equal(grid.sigma_min, grid0.sigma_min)
+
+
+@pytest.mark.parametrize("kind, factorization", [
+    ("generic", "schur"), ("mixed", "schur"), ("psd", "eigh"), ("luders", "eigh")])
+def test_one_factorization_serves_three_calls(kind, factorization, rng, monkeypatch):
+    # spectrum -> hs_positivity -> pseudospectrum factor the N x N
+    # superoperator once: eigh when it is exactly Hermitian, else one Schur
+    # form; the only other N x N eigensolve is the eigvalsh of the Hermitian
+    # part of a non-Hermitian M, for the certificate's min_eigenvalue
+    n = 3
+    op = ElementaryOperator.build(_operator_pairs(kind, rng, n))
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a)[0] == n * n:
+                calls.append(name)
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        count(np.linalg, name)
+    count(scipy.linalg, "schur")
+    to_matrix = ElementaryOperator.to_matrix
+    built = []
+    monkeypatch.setattr(ElementaryOperator, "to_matrix",
+                        lambda self: built.append(self) or to_matrix(self))
+    _three_answers(op, GridSpec(-1.0, 3.0, -1.0, 1.0, 5))
+    want = ["eigh"] if factorization == "eigh" else ["schur", "eigvalsh"]
+    assert sorted(calls) == sorted(want)
+    assert len(built) == 1 and built[0] is op
+
+
+@pytest.mark.parametrize("kind", ["generic", "psd", "luders"])
+def test_cached_factorization_ignores_later_writes(kind, rng):
+    # the caller's coefficient arrays and the array to_matrix() returns may
+    # be written to; the operator's answers do not move
+    pairs = [(np.array(A, dtype=complex), np.array(B, dtype=complex))
+             for A, B in _operator_pairs(kind, rng, 3)]
+    grid = GridSpec(-1.0, 3.0, -1.0, 1.0, 4)
+    want = _three_answers(ElementaryOperator.build([(A.copy(), B.copy()) for A, B in pairs]),
+                          grid)
+    op = ElementaryOperator.build(pairs)
+    for A, B in pairs:
+        A[0, 0] += 5.0
+        B[:] = 0.0
+    M = op.to_matrix()
+    M[:] = 1.0
+    _assert_same_answers(_three_answers(op, grid), want)
+    M = op.to_matrix()
+    assert M.flags.writeable and not np.array_equal(M, np.ones_like(M))
+    M[:] = 1.0
+    _assert_same_answers(_three_answers(op, grid), want)
+
+
+@pytest.mark.parametrize("kind", ["generic", "psd", "luders"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_spectrum_matches_dense_eig(kind, n, rng):
+    op = ElementaryOperator.build(_operator_pairs(kind, rng, n))
+    M = op.to_matrix()
+    got, want = op.spectrum(), eig(M)
+    assert matching_distance(got.eigenvalues, want.eigenvalues) <= 1e-10 * op_norm(M)
+    assert got.is_real_nonnegative == want.is_real_nonnegative
+    if kind != "generic":
+        assert not got.eigenvalues.imag.any()

@@ -136,6 +136,41 @@ def test_integer_entries_beyond_int64():
     assert "T.entries[0]" in str(err.value) and "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("bad, why", [
+    ([0.25, True], "re and im must be numbers"),
+    ([False, 0.0], "re and im must be numbers"),
+    (["1.5", 0.0], "re and im must be numbers"),
+    ([10**400, 0.0], "entries must be finite"),
+    ([0.0, -10**400], "entries must be finite"),
+    ([float("nan"), 1.0], "entries must be finite"),
+    ([1.0, float("inf")], "entries must be finite"),
+    ([1.0], "must be a [re, im] pair"),
+    ((1.0, 2.0), "must be a [re, im] pair"),
+])
+def test_bad_entry_at_a_late_index_is_named(bad, why):
+    entries = [[0.5 * i, -0.25 * i] for i in range(48)]
+    entries[37] = bad
+    entries[41] = [float("nan"), 0.0]     # only the first bad entry is named
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.matrix_from_dict({"rows": 6, "cols": 8, "entries": entries}, "T")
+    assert str(err.value) == f"field 'T.entries[37]': {why}"
+
+
+def test_entries_convert_as_complex_does():
+    # ints beyond 2^53 and 2^64, negative zeros and float subclasses
+    values = [2**53 + 1, -(2**64) - 3, 2**70 + 12345, 10**300 + 7, 3, -0.0, 5e-324,
+              0.1, np.float64(-2.5), 1.7976931348623157e308]
+    entries = [[re, im] for re in values for im in values[::-1]]
+    got = serialize.matrix_from_dict({"rows": len(values), "cols": len(values),
+                                      "entries": entries})
+    want = np.array([complex(re, im) for re, im in entries])
+    assert np.array_equal(got.ravel().view(float), want.view(float))
+    plain = [e for e in entries if type(e[0]) is not np.float64 and type(e[1]) is not np.float64]
+    got = serialize.matrix_from_dict({"rows": 1, "cols": len(plain), "entries": plain})
+    want = np.array([complex(re, im) for re, im in plain])
+    assert np.array_equal(got.ravel().view(float), want.view(float))
+
+
 def test_pairs_round_trip(rng, tmp_path):
     pairs = [(random_complex(rng, 2), random_complex(rng, 2)) for _ in range(3)]
     path = tmp_path / "pairs.json"
