@@ -67,7 +67,6 @@ from .solvers import (
     CommutatorSolution,
     NonzeroTraceError,
     SingularBlockError,
-    SolverConfig,
     SpectralGapError,
     block_inverse,
     commutator_solve,

@@ -295,9 +295,11 @@ class PsdCertificate:
     kind; for ``"similar-to-positive"`` either the caller's candidate with
     its columns scaled to unit norm or the eigenvector matrix from ``eig``.
     ``witness_residual`` is the verified reconstruction error
-    ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V); for an
-    accepted candidate the residual is the Frobenius norm, an upper bound on
-    the operator norm, unless that bound came too close to the threshold.
+    ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V).  For
+    the PSD kind, with D = max(d, 0) on the eigenvalues d of the Hermitian
+    part, and for an accepted candidate the residual is the Frobenius norm,
+    an upper bound on the operator norm; a candidate's close calls to its
+    threshold take the operator norm.
     ``min_eigenvalue`` always refers to the Hermitian part,
     ``diagonalizability_gap`` is the smallest distance between two distinct
     entries of ``eigenvalues`` (a conditioning diagnostic, inf for 1x1).
@@ -335,28 +337,23 @@ def _pairwise_gap(w: np.ndarray) -> float:
     return float(diff.min())
 
 
-def positivity_certificate(
-    M,
-    tol: float = DEFAULT_TOL,
-    cond_cap: float = DEFAULT_COND_CAP,
-    witness=None,
-) -> PsdCertificate:
+def positivity_certificate(M, tol: float = DEFAULT_TOL, *, witness=None) -> PsdCertificate:
     """Classify a matrix as PSD, similar to a positive matrix, or neither.
 
     A square matrix is similar to a positive semidefinite one exactly when it
     is diagonalizable with spectrum in [0, inf).  Numerically the spectrum
     condition is ``dist(lambda, R+) <= tol * max(1, ||M||)`` for every
     eigenvalue, and diagonalizability means some basis V of condition number
-    at most ``cond_cap`` reconstructs ``M`` as ``V diag(d) V^-1`` to within
-    ``tol * cond(V) * max(1, ||M||)``; the conditioning factor is required
-    because a residual bound independent of cond(V) is not achievable in
-    floating point near the condition cap.  The certificate records ``tol``
-    as ``tolerance`` and ``||M||`` as ``scale``.
+    at most the fixed cap :data:`DEFAULT_COND_CAP` (1e8) reconstructs ``M``
+    as ``V diag(d) V^-1`` to within ``tol * cond(V) * max(1, ||M||)``; the
+    conditioning factor is required because a residual bound independent of
+    cond(V) is not achievable in floating point near the cap.  The
+    certificate records ``tol`` as ``tolerance`` and ``||M||`` as ``scale``.
 
     ``witness`` is an optional candidate basis, such as S W for a summand
     S P S^-1 with P = W diag(p) W*.  Its columns are scaled to unit norm
     (which leaves V^-1 M V diagonal and can lower cond(V) by orders of
-    magnitude), and it is accepted when cond(V) <= ``cond_cap``, every
+    magnitude), and it is accepted when cond(V) is within the cap, every
     d = Re diag(V^-1 M V) is at least ``-tol * max(1, ||M||)`` and
     ``V diag(d) V^-1`` reconstructs ``M`` at rounding level,
     ``min(tol, 1e4 eps) * cond(V) * max(1, ||M||)``; then neither ``eig``
@@ -364,15 +361,15 @@ def positivity_certificate(
     only nearly diagonalizes ``M`` (a Jordan block's, say) from passing.
     Otherwise, or when the candidate is rejected, ``numpy.linalg.eigvals``
     decides the spectrum condition, and only when it lies in [0, inf) is the
-    eigenvector matrix from ``numpy.linalg.eig`` tried.  A basis above
-    ``cond_cap`` makes the matrix count as non-diagonalizable, reported as
+    eigenvector matrix from ``numpy.linalg.eig`` tried.  A basis above the
+    cap makes the matrix count as non-diagonalizable, reported as
     ``"neither"`` with a diagnostic string.
     """
     A = as_square_matrix(M)
-    return _certificate(A, tol, cond_cap, witness, op_norm(A))
+    return _certificate(A, tol, witness, op_norm(A))
 
 
-def _certificate(A: np.ndarray, tol: float, cond_cap: float, witness, scale: float,
+def _certificate(A: np.ndarray, tol: float, witness, scale: float,
                  eigenvalues: np.ndarray | None = None,
                  eigh: tuple[np.ndarray, np.ndarray] | None = None) -> PsdCertificate:
     """:func:`positivity_certificate` of a validated ``A`` with ``scale = ||A||``.
@@ -397,9 +394,9 @@ def _certificate(A: np.ndarray, tol: float, cond_cap: float, witness, scale: flo
 
     if _psd_test(A, tol, scale, min_eig):
         d, V = np.linalg.eigh(hermitian_part(A)) if eigh is None else eigh
-        resid = op_norm(V @ np.diag(np.maximum(d, 0.0)) @ V.conj().T - A)
+        resid = frob((V * np.maximum(d, 0.0)) @ V.conj().T - A)
         return issue(kind="positive-semidefinite", witness=V,
-                     witness_condition=1.0, witness_residual=float(resid),
+                     witness_condition=1.0, witness_residual=resid,
                      **spectrum(np.linalg.eigvals(A) if eigenvalues is None else eigenvalues))
 
     rejected = ""
@@ -410,8 +407,8 @@ def _certificate(A: np.ndarray, tol: float, cond_cap: float, witness, scale: flo
         norms = np.linalg.norm(V, axis=0)
         V = V / np.where(norms > 0.0, norms, 1.0)
         cond = _condition(V)
-        if cond > cond_cap:
-            rejected = f"condition number {cond:.3e} above {cond_cap:.1e}"
+        if cond > DEFAULT_COND_CAP:
+            rejected = f"condition number {cond:.3e} above {DEFAULT_COND_CAP:.1e}"
         else:
             Vinv = np.linalg.inv(V)
             d = np.real(np.einsum("ij,ji->i", Vinv @ A, V))
@@ -439,9 +436,9 @@ def _certificate(A: np.ndarray, tol: float, cond_cap: float, witness, scale: flo
 
     we, V = np.linalg.eig(A) if eigh is None else eigh
     cond = _condition(V)
-    if cond > cond_cap:
+    if cond > DEFAULT_COND_CAP:
         return neither(diagnostics=f"{rejected}no eigenvector basis with condition number "
-                                   f"below {cond_cap:.1e}; treating as non-diagonalizable "
+                                   f"below {DEFAULT_COND_CAP:.1e}; treating as non-diagonalizable "
                                    f"(closest eigenvalue pair "
                                    f"{fields['diagonalizability_gap']:.3e} apart)")
 

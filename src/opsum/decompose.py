@@ -107,33 +107,14 @@ class SimilaritySummand:
         """S W with P = W diag(p) W* from ``eigh``: a basis that diagonalizes
         S P S^-1 when P is Hermitian, for :func:`positivity_certificate`.
 
-        For a diagonal P, W is the permutation in which ``eigh`` lists the
-        diagonal (:func:`_eigh_order`), so S W is a column selection of S
-        with the same bits and no eigensolve runs.
+        For a diagonal P, W = I serves, so the candidate is a copy of S and
+        no eigensolve runs.  The certificate reads no meaning into the order
+        of the columns.
         """
         p = np.diagonal(self.P)
         if np.count_nonzero(self.P) == np.count_nonzero(p):
-            return np.take(self.S, _eigh_order(p.real), axis=1)
+            return self.S.copy()
         return self.S @ np.linalg.eigh(self.P)[1]
-
-
-def _eigh_order(d: np.ndarray) -> np.ndarray:
-    """The order in which LAPACK's ``heevd`` returns the eigenvalues of diag(d).
-
-    The tridiagonal stage leaves a diagonal untouched and ends in a selection
-    sort that swaps each smallest remaining entry, its first occurrence, into
-    place.  Among equal entries that order is not the stable one (it is for
-    two equal-length blocks), and a different column order of the witness
-    would change the certificate's rounding.
-    """
-    d = d.copy()
-    order = np.arange(len(d))
-    for i in range(len(d) - 1):
-        j = i + int(np.argmin(d[i:]))
-        if j != i:
-            d[i], d[j] = d[j], d[i]
-            order[i], order[j] = order[j], order[i]
-    return order
 
 
 def make_summand(S, P) -> SimilaritySummand:
@@ -228,22 +209,27 @@ def _summand_statistics(spectra, scale) -> tuple[tuple, float]:
     return counts, gap
 
 
-def to_positive_product(S, P, cond_cap: float = 1e12):
+#: cond(S) above which :func:`to_positive_product` treats S as singular.
+PRODUCT_COND_CAP = 1e12
+
+
+def to_positive_product(S, P):
     """Express S P S^-1 as a product of two PSD matrices.
 
     Returns (A, B) = (S S*, (S^-1)* P S^-1); the product A B collapses to
     S P S^-1 identically.
 
-    Raises on a numerically singular S or a non-PSD P.
+    Raises on a numerically singular S (cond(S) above
+    :data:`PRODUCT_COND_CAP`) or a non-PSD P.
     """
     S = as_square_matrix(S, "S")
     P = as_square_matrix(P, "P")
-    return _positive_product(S, P, float(np.linalg.cond(S)), cond_cap)
+    return _positive_product(S, P, float(np.linalg.cond(S)))
 
 
-def _positive_product(S, P, cond: float, cond_cap: float = 1e12):
+def _positive_product(S, P, cond: float):
     """:func:`to_positive_product` with cond(S) already known."""
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > PRODUCT_COND_CAP:
         raise ValueError(f"S is numerically singular (cond {cond:.3e})")
     if not is_psd(P):
         raise ValueError("P is not positive semidefinite")
@@ -610,8 +596,9 @@ def verify_decomposition(
     (S, P), the reconstruction residual is recomputed, each middle block is
     re-tested for positive semidefiniteness, each summand value is
     re-certified similar to positive (the candidate witness S W, with W from
-    ``eigh(P)``, is checked against the recomputed value, and ``eig`` runs
-    only when it fails), and the product form is re-multiplied.
+    ``eigh(P)`` or S itself for a diagonal P, is checked against the
+    recomputed value, and ``eig`` runs only when it fails), and the product
+    form is re-multiplied.
     Optional spectrum-count and gap thresholds cover the four-summand
     contract.  Failures are report entries, not exceptions.
     """

@@ -24,7 +24,6 @@ from scipy.linalg.blas import zgemv, ztrsv
 from scipy.linalg.lapack import dstemr
 
 from .core import (
-    DEFAULT_COND_CAP,
     DEFAULT_TOL,
     PsdCertificate,
     ShapeError,
@@ -230,16 +229,16 @@ def hs_positivity(op: ElementaryOperator, tol: float = DEFAULT_TOL) -> HsPositiv
     the spectrum is contained in [0, inf); non-PSD coefficients typically
     yield kind ``"neither"`` with diagnostics.
 
-    The certificate is :func:`opsum.core.positivity_certificate` of M at the
-    default condition cap, built from the operator's cached M, ||M|| and
-    eigenvalues, which :meth:`ElementaryOperator.spectrum` also reports.
-    For an exactly Hermitian M the ``eigh`` pair supplies
-    ``min_eigenvalue`` and the witness, so no further eigensolve runs.  The
+    The certificate is :func:`opsum.core.positivity_certificate` of M, built
+    from the operator's cached M, ||M|| and eigenvalues, which
+    :meth:`ElementaryOperator.spectrum` also reports.  For an exactly
+    Hermitian M the ``eigh`` pair supplies ``min_eigenvalue`` and the
+    witness, so no further eigensolve runs, and the witness residual of the
+    PSD kind is a Frobenius norm, with no SVD of the N x N residual.  The
     certificate's ``subject`` is the operator's read-only M, and an ``eigh``
     witness its read-only eigenvector matrix.
     """
-    cert = _certificate(op._matrix, tol, DEFAULT_COND_CAP, None, op._norm,
-                        op._eigenvalues, op._eigh)
+    cert = _certificate(op._matrix, tol, None, op._norm, op._eigenvalues, op._eigh)
     return HsPositivityReport(
         certificate=cert,
         spectrum=_spectrum_report(cert.eigenvalues, cert.scale, tol),

@@ -257,8 +257,8 @@ def condition_study(sizes, trace_margins, trials: int, seed: int) -> list[Experi
         if n % 2 != 0 or n < 2:
             raise ValueError(f"sizes must be even and >= 2, got {n}")
         for margin in trace_margins:
-            if margin <= 0:
-                raise ValueError(f"margins must be positive, got {margin}")
+            if not 0.0 < margin < np.inf:
+                raise ValueError(f"margins must be finite and positive, got {margin}")
             for trial in range(trials):
                 rng = np.random.default_rng(
                     [seed, n, int(round(margin * 1e12)), trial])

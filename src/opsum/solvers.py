@@ -17,6 +17,11 @@ and its zero-diagonalization:
   target's own diagonal, whose convex hull contains 0 because the trace is
   zero: each step zeroes one entry with a 2x2 or 3x3 unitary rotation of
   O(n) cost, so the whole pass is O(n^2) and needs no eigendecomposition.
+
+Each solver's margin is a fixed module constant: the spectral gap
+:data:`GAP_MARGIN`, the block cap :data:`BLOCK_COND_CAP`, and the zero-trace
+gate :data:`ZERO_TRACE_TOL` and zero-diagonal target
+:data:`ZERO_DIAGONAL_TOL` of the zero-diagonalization.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ import scipy.linalg
 from .core import as_square_matrix, frob
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_SOLVER_CONFIG",
     "BlockMatrix2x2",
     "CommutatorSolution",
     "SingularBlockError",
@@ -44,17 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Shared numerical margins; pipelines tune these jointly."""
-
-    spectral_gap_margin: float = 1e-6
-    condition_cap: float = 1e12
-    trace_tol: float = 1e-10      # zero-trace gate, relative to max(1, ||T||_F)
-    diagonal_tol: float = 1e-10   # zero-diagonal target, same scale
-
-
-DEFAULT_SOLVER_CONFIG = SolverConfig()
+#: Least distance between the spectra of the two Sylvester coefficients.
+GAP_MARGIN = 1e-6
+#: Condition estimate above which a block of :func:`block_inverse` is singular.
+BLOCK_COND_CAP = 1e12
+#: Zero-trace gate of :func:`zero_diagonalize`, relative to max(1, ||T0||_F).
+ZERO_TRACE_TOL = 1e-10
+#: Zero-diagonal target of :func:`zero_diagonalize`, on the same scale.
+ZERO_DIAGONAL_TOL = 1e-10
 
 
 class SingularBlockError(ValueError):
@@ -69,7 +69,7 @@ class SingularBlockError(ValueError):
 
 
 class SpectralGapError(ValueError):
-    """Coefficient spectra overlap within the configured margin."""
+    """Coefficient spectra overlap within :data:`GAP_MARGIN`."""
 
     def __init__(self, lam_a: complex, lam_b: complex, gap: float, margin: float):
         self.closest_pair = (lam_a, lam_b)
@@ -121,12 +121,11 @@ class BlockMatrix2x2:
         return np.block([[self.u, self.x], [self.y, self.z]])
 
 
-def block_inverse(S: BlockMatrix2x2,
-                  config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> BlockMatrix2x2:
+def block_inverse(S: BlockMatrix2x2) -> BlockMatrix2x2:
     """Invert a 2x2 block matrix via the Schur complement d = (z - y u^-1 x)^-1.
 
     Requires the leading block u and the Schur complement to be invertible
-    (condition estimates below ``config.condition_cap``); the assembled
+    (condition estimates at most :data:`BLOCK_COND_CAP`); the assembled
     inverse is::
 
         [[u^-1 (1 + x d y u^-1),  -u^-1 x d],
@@ -140,13 +139,13 @@ def block_inverse(S: BlockMatrix2x2,
     """
     u = np.asarray(S.u, dtype=complex)
     cond_u = float(np.linalg.cond(u))
-    if not np.isfinite(cond_u) or cond_u > config.condition_cap:
-        raise SingularBlockError("u", cond_u, config.condition_cap)
+    if not np.isfinite(cond_u) or cond_u > BLOCK_COND_CAP:
+        raise SingularBlockError("u", cond_u, BLOCK_COND_CAP)
     u_inv = np.linalg.inv(u)
     schur = S.z - S.y @ u_inv @ S.x
     cond_d = float(np.linalg.cond(schur))
-    if not np.isfinite(cond_d) or cond_d > config.condition_cap:
-        raise SingularBlockError("z - y u^-1 x", cond_d, config.condition_cap)
+    if not np.isfinite(cond_d) or cond_d > BLOCK_COND_CAP:
+        raise SingularBlockError("z - y u^-1 x", cond_d, BLOCK_COND_CAP)
     d = np.linalg.inv(schur)
     k = u.shape[0]
     return BlockMatrix2x2(
@@ -165,8 +164,7 @@ def _spectral_gap(A: np.ndarray, B: np.ndarray):
     return float(dist[i, j]), complex(wa[i]), complex(wb[j])
 
 
-def sylvester_solve(A, B, C,
-                    config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> np.ndarray:
+def sylvester_solve(A, B, C) -> np.ndarray:
     """Solve A X - X B = C, unique when the spectra of A and B are disjoint.
 
     After the spectral-gap check this is ``scipy.linalg.solve_sylvester(A,
@@ -177,7 +175,7 @@ def sylvester_solve(A, B, C,
     Raises
     ------
     SpectralGapError
-        If min |lambda_A - lambda_B| falls below the configured margin; the
+        If min |lambda_A - lambda_B| falls below :data:`GAP_MARGIN`; the
         error carries the closest eigenvalue pair.
     """
     A = as_square_matrix(A, "A")
@@ -188,8 +186,8 @@ def sylvester_solve(A, B, C,
         raise ValueError(f"C must be {p}x{q}, got {C.shape}")
 
     gap, la, lb = _spectral_gap(A, B)
-    if gap < config.spectral_gap_margin:
-        raise SpectralGapError(la, lb, gap, config.spectral_gap_margin)
+    if gap < GAP_MARGIN:
+        raise SpectralGapError(la, lb, gap, GAP_MARGIN)
 
     return scipy.linalg.solve_sylvester(A, -B, C)
 
@@ -201,7 +199,6 @@ class CommutatorSolution:
     X: np.ndarray
     Y: np.ndarray
     residual: float
-    similarity_used: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +301,15 @@ def _householder_with_first_column(v: np.ndarray) -> np.ndarray:
     return Q
 
 
-def zero_diagonalize(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG):
+def zero_diagonalize(T0):
     """Similarity (in fact unitary) conjugation of a trace-zero matrix to zero diagonal.
 
     Returns ``(R, Z)`` with Z = R @ T0 @ R^-1, R unitary, and every diagonal
-    entry of Z below ``config.diagonal_tol * max(1, ||T0||_F)``.  The pass
-    itself aims at ``config.diagonal_tol * ||T0||_F``, so inputs of small
-    norm are zeroed as closely, relative to their norm, as unit-norm ones.
+    entry of Z at most ``ZERO_DIAGONAL_TOL * max(1, ||T0||_F)`` (1e-10 on
+    that scale).  The pass itself aims at ``ZERO_DIAGONAL_TOL * ||T0||_F``,
+    so inputs of small norm are zeroed as closely, relative to their norm,
+    as unit-norm ones, and it stops as soon as every remaining entry is
+    within that aim.
 
     The diagonal entries are the Rayleigh values of the basis vectors and
     sum to the trace, so 0 lies in their convex hull (Fillmore 1969).  Each
@@ -324,17 +323,18 @@ def zero_diagonalize(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG):
     Raises
     ------
     NonzeroTraceError
-        If |trace(T0)| exceeds ``config.trace_tol * max(1, ||T0||_F)``.
+        If |trace(T0)| exceeds ``ZERO_TRACE_TOL * max(1, ||T0||_F)``, with
+        ``ZERO_TRACE_TOL`` = 1e-10.
     """
     A = as_square_matrix(T0, "T0")
     n = A.shape[0]
     norm = frob(A)
     scale = max(1.0, norm)
     tr = complex(np.trace(A))
-    if abs(tr) > config.trace_tol * scale:
-        raise NonzeroTraceError(tr, config.trace_tol * scale)
+    if abs(tr) > ZERO_TRACE_TOL * scale:
+        raise NonzeroTraceError(tr, ZERO_TRACE_TOL * scale)
 
-    done = config.diagonal_tol * norm
+    done = ZERO_DIAGONAL_TOL * norm
     if np.max(np.abs(np.diagonal(A))) <= done:
         return np.eye(n, dtype=complex), A.copy()
 
@@ -363,7 +363,7 @@ def zero_diagonalize(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG):
         active[i] = False
 
     worst = float(np.max(np.abs(np.diagonal(M))))
-    diag_bound = config.diagonal_tol * scale
+    diag_bound = ZERO_DIAGONAL_TOL * scale
     if worst > diag_bound:
         raise RuntimeError(
             f"zero-diagonalization stalled: worst diagonal entry {worst:.3e} "
@@ -372,7 +372,7 @@ def zero_diagonalize(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG):
     return R, M
 
 
-def commutator_solve(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> CommutatorSolution:
+def commutator_solve(T0) -> CommutatorSolution:
     """Factor a trace-zero matrix as a commutator X Y - Y X.
 
     After conjugating the target to zero diagonal, X is taken as the
@@ -391,9 +391,9 @@ def commutator_solve(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> Commut
     scale = max(1.0, frob(A))
     if frob(A) == 0.0:
         zero = np.zeros_like(A)
-        return CommutatorSolution(zero, zero.copy(), 0.0, np.eye(n, dtype=complex))
+        return CommutatorSolution(zero, zero.copy(), 0.0)
 
-    R, Z = zero_diagonalize(A, config)
+    R, Z = zero_diagonalize(A)
     x = np.arange(1, n + 1, dtype=float)
     gaps = x[:, None] - x[None, :]
     np.fill_diagonal(gaps, 1.0)
@@ -409,4 +409,4 @@ def commutator_solve(T0, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> Commut
     if residual > bound:
         raise RuntimeError(
             f"commutator residual {residual:.3e} exceeds bound {bound:.3e}")
-    return CommutatorSolution(X, Y, residual, R)
+    return CommutatorSolution(X, Y, residual)

@@ -310,6 +310,17 @@ def test_study_rejects_nonpositive_trials(workdir, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("margin", ["inf", "1e400", "nan"])
+def test_study_rejects_nonfinite_margins(workdir, margin):
+    out = workdir / "s.csv"
+    proc = _run_module("study", "--sizes", "2", f"--margins={margin}", "--trials", "1",
+                       "--output", str(out))
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "margins must be finite and positive" in proc.stderr
+    assert not out.exists()
+
+
 def test_pseudospectrum_csv(workdir):
     out = workdir / "ps.csv"
     code = main(["pseudospectrum", "--input", str(workdir / "idpair.json"),

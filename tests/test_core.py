@@ -391,3 +391,23 @@ def test_certificate_rejects_witness_of_wrong_shape():
     with pytest.raises(core.ShapeError):
         core.positivity_certificate(np.diag([1.0, 2.0]) + np.triu(np.ones((2, 2)), 1),
                                     witness=np.eye(3))
+
+
+def test_candidate_witness_condition_cap_is_1e8():
+    # unit columns at angle 2 / c apart have condition number c
+    def basis(cond):
+        return np.array([[1.0, np.cos(2.0 / cond)], [0.0, np.sin(2.0 / cond)]])
+    V = basis(0.99e8)
+    cert = core.positivity_certificate(V @ np.diag([1.0, 2.0]) @ np.linalg.inv(V), witness=V)
+    assert cert.kind == "similar-to-positive"
+    assert cert.witness_condition == pytest.approx(0.99e8)
+    V = basis(1.01e8)
+    M = V @ np.diag([1.0, 2.0]) @ np.linalg.inv(V)
+    cert = core.positivity_certificate(M, witness=V)
+    assert cert.kind == "neither"
+    assert cert.diagnostics.startswith(
+        "candidate witness rejected: condition number 1.010e+08 above 1.0e+08")
+    with pytest.raises(TypeError):
+        core.positivity_certificate(M, cond_cap=1e9, witness=V)
+    with pytest.raises(TypeError):
+        core.positivity_certificate(M, 1e-9, V)

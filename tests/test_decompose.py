@@ -339,26 +339,37 @@ def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
     assert calls == [("eigvalsh", n)] * 4
 
 
+def _assert_witness_is_s(s):
+    """The candidate for a diagonal P is a copy of S; the eigh witness S W
+    holds the same columns, bit for bit, in the order eigh lists P's
+    diagonal; the candidate certifies the summand."""
+    witness = s.candidate_witness()
+    assert witness is not s.S and witness.flags.c_contiguous
+    assert witness.tobytes() == s.S.tobytes()
+    W = np.linalg.eigh(s.P)[1]
+    order = np.argmax(np.abs(W), axis=0)
+    assert np.array_equal(W, np.eye(len(order))[:, order])
+    assert (s.S @ W).tobytes() == witness[:, order].tobytes()
+    cert = positivity_certificate(s.value, tol=1e-8, witness=witness)
+    assert is_similar_to_positive(cert) and cert.diagnostics == ""
+
+
 @pytest.mark.parametrize("n, margin", [(4, 1.0), (4, 0.1), (8, 1.0), (8, 0.1), (16, 1.0),
                                        (16, 0.1), (32, 1.0), (32, 0.1), (64, 1.0), (128, 1.0)])
 def test_diagonal_middle_witness_is_eigh_witness_bit_for_bit(n, margin):
     T = random_real_trace(np.random.default_rng([n, 3]), n, margin * n)
     for s in four_summands(T).summands:
-        witness = s.candidate_witness()
-        assert witness.flags.c_contiguous
-        assert witness.tobytes() == (s.S @ np.linalg.eigh(s.P)[1]).tobytes()
+        _assert_witness_is_s(s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 26, 33, 65])
 def test_eigh_order_matches_eigh_on_ties(n):
-    # unequal blocks of equal entries are where a stable sort and eigh differ
+    # eigh lists unequal blocks of equal entries in an order no stable sort
+    # gives; the candidate keeps the order of S, which certifies as well
     rng = np.random.default_rng(n)
     S = random_invertible(rng, n)
     for values in ([0.5], [0.7, 0.2], [0.0, 0.3, 0.1]):
-        P = np.diag(rng.choice(values, n)).astype(complex)
-        W = np.linalg.eigh(P)[1]
-        assert np.array_equal(W, np.eye(n)[:, opsum.decompose._eigh_order(np.diagonal(P).real)])
-        assert make_summand(S, P).candidate_witness().tobytes() == (S @ W).tobytes()
+        _assert_witness_is_s(make_summand(S, np.diag(rng.choice(values, n)).astype(complex)))
 
 
 def test_verify_fails_ill_conditioned_summand():
@@ -405,6 +416,14 @@ def test_to_positive_product_rejections(rng):
         to_positive_product(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(ValueError):
         to_positive_product(np.eye(2), np.diag([1.0, -1.0]))
+
+
+def test_to_positive_product_condition_cap_is_1e12():
+    to_positive_product(np.diag([1.0, 1.0 / 0.99e12]), np.eye(2))
+    with pytest.raises(ValueError, match="numerically singular"):
+        to_positive_product(np.diag([1.0, 1.0 / 1.01e12]), np.eye(2))
+    with pytest.raises(TypeError):
+        to_positive_product(np.eye(2), np.eye(2), cond_cap=1e13)
 
 
 # --- three summands ---------------------------------------------------------

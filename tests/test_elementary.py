@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from opsum import core
 from opsum.core import ShapeError, dist_to_rplus, eig, frob, matching_distance, op_norm
 from opsum.elementary import (
     ElementaryOperator,
@@ -137,6 +138,27 @@ def test_hs_positivity_luders(rng):
         assert op_norm(M - M.conj().T) <= 1e-10 * max(1.0, op_norm(M))
         assert rep.certificate.min_eigenvalue >= -1e-10 * max(1.0, op_norm(M))
         assert rep.coefficients_psd
+
+
+def test_hs_positivity_psd_residual_takes_no_svd(rng, monkeypatch):
+    # the PSD witness residual is the Frobenius norm of (V * max(d, 0)) V* - M,
+    # an upper bound on its operator norm; no N x N op_norm runs
+    n = 4
+    op = ElementaryOperator.build([(random_psd(rng, n), random_psd(rng, n)) for _ in range(2)])
+    M = op.to_matrix()
+    assert np.array_equal(M, M.conj().T)
+    sizes = []
+    original = core.op_norm
+    monkeypatch.setattr(core, "op_norm",
+                        lambda X: sizes.append(np.shape(X)[0]) or original(X))
+    cert = hs_positivity(op).certificate
+    assert n * n not in sizes
+    assert cert.kind == "positive-semidefinite"
+    d, V = np.linalg.eigh(M)
+    assert np.array_equal(cert.witness, V)
+    R = (V * np.maximum(d, 0.0)) @ V.conj().T - M
+    assert cert.witness_residual == frob(R)
+    assert cert.witness_residual >= original(R)
 
 
 def test_hs_positivity_commuting_side(rng):

@@ -157,3 +157,9 @@ def test_condition_study_validation():
         condition_study([3], [1.0], 1, 0)
     with pytest.raises(ValueError):
         condition_study([2], [-1.0], 1, 0)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0, -1.0])
+def test_condition_study_rejects_nonfinite_or_nonpositive_margins(margin):
+    with pytest.raises(ValueError, match="margins must be finite and positive"):
+        condition_study([2], [margin], 1, 0)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import opsum
 from opsum import solvers
 from opsum.core import frob, matching_distance
 from opsum.randmat import random_complex, random_psd, random_trace_zero
@@ -10,7 +11,6 @@ from opsum.solvers import (
     BlockMatrix2x2,
     NonzeroTraceError,
     SingularBlockError,
-    SolverConfig,
     SpectralGapError,
     block_inverse,
     commutator_solve,
@@ -61,6 +61,29 @@ def test_block_inverse_singular_u():
     assert err.value.block == "u"
 
 
+def test_block_inverse_condition_cap_is_1e12():
+    def blocks(cond):
+        return BlockMatrix2x2(np.diag([1.0, 1.0 / cond]), np.zeros((2, 1)),
+                              np.zeros((1, 2)), np.eye(1))
+    block_inverse(blocks(0.99e12))
+    with pytest.raises(SingularBlockError, match="exceeds cap 1.0e[+]12") as err:
+        block_inverse(blocks(1.01e12))
+    assert err.value.block == "u"
+    with pytest.raises(TypeError):
+        block_inverse(blocks(2.0), config=None)
+
+
+def test_retired_solver_settings_are_gone():
+    assert not hasattr(solvers, "SolverConfig")
+    assert not hasattr(solvers, "DEFAULT_SOLVER_CONFIG")
+    assert not hasattr(opsum, "SolverConfig")
+    assert "similarity_used" not in solvers.CommutatorSolution.__dataclass_fields__
+    T0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for solve in (zero_diagonalize, commutator_solve):
+        with pytest.raises(TypeError):
+            solve(T0, config=None)
+
+
 def test_block_inverse_singular_schur():
     # u = 1, x = y = 1, z = 1 makes z - y u^-1 x = 0
     S = BlockMatrix2x2(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
@@ -108,13 +131,15 @@ def test_sylvester_gap_rejection(rng):
     assert abs(la - 2.0) < 1e-6 and abs(lb - 2.0) < 1e-6
 
 
-def test_sylvester_gap_margin_configurable():
+def test_sylvester_gap_margin_fixed():
     A = np.diag([1.0])
-    B = np.diag([1.0 + 1e-4])
-    config = SolverConfig(spectral_gap_margin=1e-3)
-    with pytest.raises(SpectralGapError):
-        sylvester_solve(A, B, np.ones((1, 1)), config)
-    sylvester_solve(A, B, np.ones((1, 1)))   # default margin 1e-6 accepts
+    C = np.ones((1, 1))
+    sylvester_solve(A, np.diag([1.0 + 1e-4]), C)   # the 1e-6 margin accepts
+    sylvester_solve(A, np.diag([1.0 + 2e-6]), C)
+    with pytest.raises(SpectralGapError, match="within margin 1.0e-06"):
+        sylvester_solve(A, np.diag([1.0 + 5e-7]), C)
+    with pytest.raises(TypeError):
+        sylvester_solve(A, np.diag([1.0 + 1e-4]), C, config=None)
 
 
 # --- zero diagonalization ---------------------------------------------------
@@ -155,6 +180,30 @@ def test_zero_diagonalize_random(rng, n):
 def test_zero_diagonalize_rejects_trace():
     with pytest.raises(NonzeroTraceError):
         zero_diagonalize(np.eye(3))
+
+
+def test_zero_diagonalize_trace_gate_is_1e10():
+    # unit norm, so the gate is 1e-10 * max(1, ||T0||_F) = 1e-10
+    def unit(trace):
+        return np.array([[trace, 1.0], [0.0, 0.0]])
+    with pytest.raises(NonzeroTraceError, match="gate 1.000e-10"):
+        zero_diagonalize(unit(2e-10))
+    R, Z = zero_diagonalize(unit(5e-11))
+    assert_zero_diagonal(unit(5e-11), R, Z)
+
+
+def test_zero_diagonalize_stops_once_the_diagonal_is_zero(monkeypatch):
+    # the first step rotates indices 0 and 1, whose 2x2 block has zero trace,
+    # so it zeroes both entries; entry 2 is zero already, and the second of
+    # the n - 1 steps is never taken
+    T0 = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    T0[0, 2] = T0[2, 1] = 0.3
+    steps = []
+    hull = solvers._hull_indices
+    monkeypatch.setattr(solvers, "_hull_indices",
+                        lambda *args: steps.append(args) or hull(*args))
+    assert_zero_diagonal(T0, *zero_diagonalize(T0))
+    assert len(steps) == 1
 
 
 def _structured_trace_zero(rng, kind, n):
@@ -258,7 +307,7 @@ def test_commutator_rejects_shifted(rng):
             with pytest.raises(NonzeroTraceError) as err:
                 commutator_solve(T0)
             assert "zero trace" in str(err.value)
-            # the gate's bound is trace_tol * max(1, ||T0||_F)
+            # the zero-trace gate is 1e-10 * max(1, ||T0||_F)
             bound = 1e-10 * max(1.0, frob(T0))
             assert str(err.value) == str(NonzeroTraceError(complex(np.trace(T0)), bound))
 
