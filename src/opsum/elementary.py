@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import zgemv, ztrsv
-from scipy.linalg.lapack import dstemr
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc, ztrsv
+from scipy.linalg.lapack import dstemr, zgees
 
 from .core import (
     DEFAULT_TOL,
@@ -84,8 +84,8 @@ class ElementaryOperator:
     :func:`pseudospectrum` all read the same factorization.  It is
     ``numpy.linalg.eigh`` when M is exactly Hermitian (every operator whose
     coefficients are exactly Hermitian, every Lüders operation among them),
-    whose largest |eigenvalue| is then ||M||, and the complex Schur form
-    otherwise.
+    whose largest |eigenvalue| is then ||M||, and otherwise the upper
+    triangular factor T of a complex Schur form M = Z T Z*, Z not formed.
     """
 
     pairs: tuple
@@ -168,9 +168,12 @@ class ElementaryOperator:
 
     @cached_property
     def _schur(self) -> np.ndarray:
-        """Upper triangular T of the complex Schur form M = Z T Z*, for a
-        non-Hermitian M."""
-        return _read_only(scipy.linalg.schur(self._matrix, output="complex")[0])
+        """T of a complex Schur form M = Z T Z* of a non-Hermitian M:
+        LAPACK ``zgees`` without the Schur vectors Z, which nothing reads."""
+        T, _, _, _, _, info = zgees(lambda w: None, self._matrix, compute_v=0)
+        if info != 0:
+            raise RuntimeError(f"LAPACK zgees failed with info = {info}")
+        return _read_only(T)
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -183,7 +186,7 @@ class ElementaryOperator:
 
         The eigenvalues, sorted by (Re, Im), are those of the operator's one
         factorization of M: exactly real from ``eigh`` for an exactly
-        Hermitian M, else the diagonal of the Schur form.  The verdict
+        Hermitian M, else the diagonal of the Schur factor T.  The verdict
         follows :func:`opsum.core.eig` with the cached ||M|| as the scale.
         The eigenvalue array is shared with the operator and read-only.
         """
@@ -369,27 +372,27 @@ def pseudospectrum(op: ElementaryOperator, grid: GridSpec) -> PseudospectrumGrid
       Hermitian, every Lüders operation): sigma_min(M - zI) is the distance
       min_i |d_i - z| to the eigenvalues d of ``eigh``, for the whole grid
       at once.
-    - Otherwise M = Z T Z* in complex Schur form and
+    - Otherwise M = Z T Z* in complex Schur form (only T is formed) and
       sigma_min(M - zI) = sigma_min(T - zI).  For a normal M, when the
       strictly upper part E of T has ||E||_F <= N eps ||T||_F, the result
       is the distance min_i |T_ii - z| to the Schur diagonal; by Weyl's
       bound for singular values it differs from sigma_min(T - zI) by at
       most ||E||_2 <= ||E||_F.
     - Otherwise each point runs inverse Lanczos on (R* R)^-1 with
-      R = T - zI upper triangular, applied through two triangular solves,
-      with full reorthogonalization, from a fixed pseudorandom unit start
-      vector (seed 0), until the residual bound beta_k |s_k| of the largest
-      Ritz value theta is at most 1e-14 theta (at most N steps); then
-      sigma_min = theta^(-1/2).  An exactly zero diagonal entry of R gives
-      sigma_min = 0.
+      R = T - zI upper triangular, applied through two triangular solves:
+      the plain three-term recurrence, O(N) memory, from a fixed
+      pseudorandom unit start vector (seed 0).  It stops when the residual
+      bound beta_k |s_k| of the largest Ritz value theta is at most
+      1e-14 theta; then sigma_min = theta^(-1/2).  Without
+      reorthogonalization the basis loses orthogonality, but by Paige's
+      analysis (1976, 1980) a Ritz value with a small residual bound still
+      lies within that bound of an eigenvalue, and the largest one
+      converges first.  A point not converged after 4N steps takes the SVD
+      of R.  An exactly zero diagonal entry of R gives sigma_min = 0.
 
     Accuracy: about N eps ||M|| absolute, the order of the backward error
     of an SVD of M - zI (and of ``eigh``).  Deterministic; grid points are
     independent, so the evaluation order does not affect the result.
-
-    Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1`` before numpy loads)
-    when other BLAS-heavy processes share the cores: the many small level-2
-    calls of inverse Lanczos stall under thread oversubscription.
     """
     re = np.linspace(grid.re0, grid.re1, grid.steps)
     im = np.linspace(grid.im0, grid.im1, grid.steps)
@@ -414,43 +417,39 @@ def pseudospectrum(op: ElementaryOperator, grid: GridSpec) -> PseudospectrumGrid
     # and Lanczos then stops on the wrong Ritz value.
     start = np.random.default_rng(0).standard_normal((2, N)).T @ np.array([1.0, 1j])
     start /= np.linalg.norm(start)
-    # Lanczos basis (columns) and tridiagonal, allocated once per call
-    Q = np.empty((N, N), dtype=complex, order="F")
-    alpha = np.empty(N)
-    beta = np.empty(N)
+    # the tridiagonal, allocated once per call; its length caps the steps
+    alpha, beta = np.empty((2, LANCZOS_STEPS * N))
     out = np.empty(z.shape)
     for idx, point in np.ndenumerate(z):
         R[diag] = d - point
-        out[idx] = 0.0 if np.any(d == point) else _sigma_min_upper(R, start, Q, alpha, beta)
+        out[idx] = 0.0 if np.any(d == point) else _sigma_min_upper(R, start, alpha, beta)
     return PseudospectrumGrid(re=re, im=im, sigma_min=out)
 
 
-def _sigma_min_upper(R: np.ndarray, start: np.ndarray, Q: np.ndarray,
-                     alpha: np.ndarray, beta: np.ndarray) -> float:
+# inverse Lanczos steps per unit of N before a grid point falls back to an SVD
+LANCZOS_STEPS = 4
+
+
+def _sigma_min_upper(R: np.ndarray, start: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> float:
     """sigma_min of a nonsingular upper triangular R by inverse Lanczos.
 
     Lanczos on the Hermitian positive definite (R* R)^-1, whose largest
-    eigenvalue is sigma_min(R)^-2, from the unit vector ``start``.  ``Q``
-    (N x N, Fortran order), ``alpha`` and ``beta`` (length N) are workspace.
+    eigenvalue is sigma_min(R)^-2, from the unit vector ``start``; after
+    len(alpha) steps ``svdvals(R)``.  ``alpha``, ``beta`` are workspace.
     """
-    N = R.shape[0]
-    Q[:, 0] = start
-    for k in range(N):
-        w = ztrsv(R, ztrsv(R, Q[:, k], trans=2), overwrite_x=1)
-        B = Q[:, :k + 1]
-        c = zgemv(1.0, B, w, trans=2)
-        alpha[k] = c[k].real
-        # classical Gram-Schmidt twice against the whole basis
-        w = zgemv(-1.0, B, c, beta=1.0, y=w, overwrite_y=1)
-        w = zgemv(-1.0, B, zgemv(1.0, B, w, trans=2), beta=1.0, y=w, overwrite_y=1)
-        b = float(np.linalg.norm(w))
-        # largest eigenpair of the tridiagonal; dstemr overwrites its
-        # off-diagonal argument, hence the copy
-        _, theta, s, info = dstemr(alpha[:k + 1], beta[:k + 1].copy(), 2, 0.0, 0.0,
-                                   k + 1, k + 1)
+    q, q_prev, b = start, start, 0.0
+    for k in range(alpha.size):
+        w = ztrsv(R, ztrsv(R, q, trans=2), overwrite_x=1)
+        alpha[k] = zdotc(q, w).real
+        # w -= alpha_k q_k + beta_{k-1} q_{k-1}, in place (b = 0 at k = 0)
+        w = zaxpy(q_prev, zaxpy(q, w, a=-alpha[k]), a=-b)
+        b = dznrm2(w)
+        # top eigenpair of the tridiagonal; dstemr overwrites e, hence the copy
+        _, theta, s, info = dstemr(alpha[:k + 1], beta[:k + 1].copy(), 2, 0.0, 0.0, k + 1, k + 1)
         if info != 0:
             raise RuntimeError(f"LAPACK dstemr failed with info = {info}")
-        if b * abs(s[k, 0]) <= 1e-14 * theta[0] or k == N - 1:
+        if b * abs(s[k, 0]) <= 1e-14 * theta[0]:
             return float(1.0 / np.sqrt(theta[0]))
         beta[k] = b
-        Q[:, k + 1] = w / b
+        q_prev, q = q, w / b
+    return float(scipy.linalg.svdvals(R)[-1])

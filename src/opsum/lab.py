@@ -257,8 +257,10 @@ def condition_study(sizes, trace_margins, trials: int, seed: int) -> list[Experi
         if n % 2 != 0 or n < 2:
             raise ValueError(f"sizes must be even and >= 2, got {n}")
         for margin in trace_margins:
-            if not 0.0 < margin < np.inf:
-                raise ValueError(f"margins must be finite and positive, got {margin}")
+            # the generator key margin * 1e12 overflows above about 1.8e296
+            if not 0.0 < margin * 1e12 < np.inf:
+                raise ValueError(f"margins must be finite and positive, with margin * 1e12 "
+                                 f"finite, got {margin}")
             for trial in range(trials):
                 rng = np.random.default_rng(
                     [seed, n, int(round(margin * 1e12)), trial])

@@ -310,14 +310,15 @@ def test_study_rejects_nonpositive_trials(workdir, capsys, trials):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("margin", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("margin", ["inf", "1e400", "nan", "1e300"])
 def test_study_rejects_nonfinite_margins(workdir, margin):
+    # 1e300 is finite, but its generator key margin * 1e12 is not
     out = workdir / "s.csv"
     proc = _run_module("study", "--sizes", "2", f"--margins={margin}", "--trials", "1",
                        "--output", str(out))
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
-    assert "margins must be finite and positive" in proc.stderr
+    assert proc.stderr.startswith("error: margins must be finite and positive")
     assert not out.exists()
 
 

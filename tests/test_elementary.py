@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opsum import core
+from opsum import core, elementary
 from opsum.core import ShapeError, dist_to_rplus, eig, frob, matching_distance, op_norm
 from opsum.elementary import (
     ElementaryOperator,
@@ -390,11 +390,87 @@ def test_pseudospectrum_deterministic(kind, rng):
     assert np.array_equal(first, pseudospectrum(op, grid).sigma_min)
 
 
+def _lanczos_steps(monkeypatch):
+    """Record the inverse Lanczos steps of each grid point (one dstemr each)."""
+    steps = []
+    dstemr, upper = elementary.dstemr, elementary._sigma_min_upper
+
+    def counted_dstemr(*args, **kwargs):
+        steps[-1] += 1
+        return dstemr(*args, **kwargs)
+
+    def counted_upper(*args):
+        steps.append(0)
+        return upper(*args)
+    monkeypatch.setattr(elementary, "dstemr", counted_dstemr)
+    monkeypatch.setattr(elementary, "_sigma_min_upper", counted_upper)
+    return steps
+
+
+def _count_svdvals(monkeypatch):
+    calls = []
+    svdvals = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals", lambda a: calls.append(a.shape) or svdvals(a))
+    return calls
+
+
+def test_pseudospectrum_n12_matches_per_point_svd(rng, monkeypatch):
+    # the operators benchmark's scale: N = 144, three generic pairs, every
+    # point of a grid over the spectrum on the inverse Lanczos path
+    n = 12
+    op = ElementaryOperator.build([(random_complex(rng, n), random_complex(rng, n))
+                                   for _ in range(3)])
+    M = op.to_matrix()
+    w = op.spectrum().eigenvalues
+    grid = GridSpec(w.real.min(), w.real.max(), w.imag.min(), w.imag.max(), 5)
+    steps, svd_calls = _lanczos_steps(monkeypatch), _count_svdvals(monkeypatch)
+    got = pseudospectrum(op, grid).sigma_min
+    assert len(steps) == 25 and not svd_calls
+    assert np.max(np.abs(got - _svd_sigma_min(M, grid))) <= 1e-12 * max(1.0, op_norm(M))
+
+
+def _past_n_steps_case():
+    # without reorthogonalization a point may need more than N steps: three
+    # points of this grid take N + 1 = 10, where an exit at step N would
+    # return a value whose stop test failed (the most seen on the _pairs
+    # families generic, mixed, nilpotent and jordan at n = 2-8, seeds 0-39,
+    # both grids of test_pseudospectrum_matches_per_point_svd, is 1.11 N)
+    op = ElementaryOperator.build(_pairs("mixed", np.random.default_rng(14), 3))
+    scale = max(1.0, op_norm(op.to_matrix()))
+    return op, scale, GridSpec(-0.3 * scale, 1.2 * scale, -0.6 * scale, 0.6 * scale, 7)
+
+
+def test_pseudospectrum_point_past_n_steps(monkeypatch):
+    op, scale, grid = _past_n_steps_case()
+    steps, svd_calls = _lanczos_steps(monkeypatch), _count_svdvals(monkeypatch)
+    got = pseudospectrum(op, grid).sigma_min
+    assert max(steps) > op.dim ** 2 and not svd_calls
+    assert np.max(np.abs(got - _svd_sigma_min(op.to_matrix(), grid))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_pseudospectrum_svd_fallback(cap, monkeypatch):
+    # a point not converged after LANCZOS_STEPS * N steps takes svdvals(R):
+    # with the cap at N the points that need more than N steps do, with 0
+    # every point does
+    op, scale, grid = _past_n_steps_case()
+    with monkeypatch.context() as m:
+        steps = _lanczos_steps(m)
+        pseudospectrum(op, grid)
+    want = sum(k > op.dim ** 2 for k in steps) if cap else len(steps)
+    assert want > 0
+    monkeypatch.setattr(elementary, "LANCZOS_STEPS", cap)
+    svd_calls = _count_svdvals(monkeypatch)
+    got = pseudospectrum(op, grid).sigma_min
+    assert len(svd_calls) == want
+    assert np.max(np.abs(got - _svd_sigma_min(op.to_matrix(), grid))) <= 1e-12 * scale
+
+
 def test_pseudospectrum_n16_runtime_cap(rng):
     # N = 256, 121 points, on a 2-core x86-64 container: 2.2-2.4 s with an
-    # SVD per point, 0.6 s with one Schur form and inverse Lanczos.  The
-    # faster of two calls is timed, so one stall on a shared machine does
-    # not fail the test.
+    # SVD per point, 0.3-0.4 s with one Schur form and the three-term
+    # inverse Lanczos.  The faster of two calls is timed, so one stall on a
+    # shared machine does not fail the test.
     cap = 1.5
     n = 16
     pairs = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(3)]
@@ -438,30 +514,32 @@ def _assert_same_answers(got, want):
 def test_one_factorization_serves_three_calls(kind, factorization, rng, monkeypatch):
     # spectrum -> hs_positivity -> pseudospectrum factor the N x N
     # superoperator once: eigh when it is exactly Hermitian, else one Schur
-    # form; the only other N x N eigensolve is the eigvalsh of the Hermitian
-    # part of a non-Hermitian M, for the certificate's min_eigenvalue
+    # form (LAPACK zgees, whose matrix is its second argument); the only
+    # other N x N eigensolve is the eigvalsh of the Hermitian part of a
+    # non-Hermitian M, for the certificate's min_eigenvalue
     n = 3
     op = ElementaryOperator.build(_operator_pairs(kind, rng, n))
     calls = []
 
-    def count(owner, name):
+    def count(owner, name, arg=0):
         original = getattr(owner, name)
 
-        def counted(a, *args, **kwargs):
-            if np.shape(a)[0] == n * n:
+        def counted(*args, **kwargs):
+            if np.shape(args[arg])[0] == n * n:
                 calls.append(name)
-            return original(a, *args, **kwargs)
+            return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         count(np.linalg, name)
     count(scipy.linalg, "schur")
+    count(elementary, "zgees", arg=1)
     to_matrix = ElementaryOperator.to_matrix
     built = []
     monkeypatch.setattr(ElementaryOperator, "to_matrix",
                         lambda self: built.append(self) or to_matrix(self))
     _three_answers(op, GridSpec(-1.0, 3.0, -1.0, 1.0, 5))
-    want = ["eigh"] if factorization == "eigh" else ["schur", "eigvalsh"]
+    want = ["eigh"] if factorization == "eigh" else ["zgees", "eigvalsh"]
     assert sorted(calls) == sorted(want)
     assert len(built) == 1 and built[0] is op
 

@@ -163,3 +163,18 @@ def test_condition_study_validation():
 def test_condition_study_rejects_nonfinite_or_nonpositive_margins(margin):
     with pytest.raises(ValueError, match="margins must be finite and positive"):
         condition_study([2], [margin], 1, 0)
+
+
+@pytest.mark.parametrize("margin", [1.8e296, 1e300, 1.7e308])
+def test_condition_study_rejects_margin_whose_key_overflows(margin):
+    # the generator key int(round(margin * 1e12)) raised OverflowError here
+    with pytest.raises(ValueError, match="margins must be finite and positive"):
+        condition_study([2], [margin], 1, 0)
+
+
+def test_condition_study_accepts_largest_finite_key():
+    # 1.79e296 * 1e12 is still finite: the margin runs (the target overflows,
+    # so the record is a failure) with the key it always had
+    with np.errstate(over="ignore", invalid="ignore"):
+        (record,) = condition_study([2], [1.79e296], 1, 0)
+    assert (record.trace_margin, record.success) == (1.79e296, False)
