@@ -156,11 +156,16 @@ def _spectrum_report(w: np.ndarray, scale: float, tol: float) -> SpectrumReport:
 
 
 def matching_distance(w1, w2) -> float:
-    """Optimal-matching distance between two eigenvalue multisets.
+    """Largest distance in a minimum-sum matching of two eigenvalue multisets.
 
-    Pairs the two multisets (same cardinality) to minimize the largest
-    pairwise distance, via the Hungarian assignment on |w1_i - w2_j|.
-    This is the Hausdorff-style metric used for all spectrum comparisons.
+    Pairs the two multisets (same cardinality) by the Hungarian assignment
+    on |w1_i - w2_j|, which minimizes the sum of the pairwise distances,
+    and returns the largest distance in that pairing.  This is an upper
+    bound on the bottleneck distance (the least largest distance over all
+    pairings), not always equal to it: [0, 2] against [0, 2j] gives 2√2,
+    while 0 <-> 2j, 2 <-> 0 has largest distance 2.  It is the metric used
+    for all spectrum comparisons, so each one is at least as strict as the
+    bottleneck distance would make it.
     """
     a = np.asarray(w1, dtype=complex).ravel()
     b = np.asarray(w2, dtype=complex).ravel()

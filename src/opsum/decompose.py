@@ -358,6 +358,7 @@ def four_summands(T, params: FourSummandParams | None = None):
     sep_goal = min(1e-3, beta / 10.0, delta / 10.0)
     base_weights = np.asarray(B_WEIGHTS, dtype=float)
     weights = base_weights
+    best_gap = 0.0
     for attempt in range(25):
         # middle j is diag(p_j I, q_j I), listed as (p_j, q_j)
         middles = [(alpha, 0.0)] + [(b + delta, b) for b in beta * weights]
@@ -365,11 +366,12 @@ def four_summands(T, params: FourSummandParams | None = None):
                   for mj in middles[i + 1:] for u in mi for v in mj)
         if gap >= sep_goal:
             break
+        best_gap = max(best_gap, float(gap))
         weights = _nudge_weights(base_weights, attempt + 1)
     else:
         raise ParameterError(
-            f"could not separate summand spectra: best gap {gap:.3e} below "
-            f"margin {sep_goal:.3e} after weight nudging")
+            f"could not separate summand spectra: best gap {best_gap!r} "
+            f"below margin {sep_goal!r} after weight nudging")
 
     A = A_full[:k, :k]
     B = A_full[:k, k:]

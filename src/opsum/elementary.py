@@ -74,6 +74,28 @@ def _read_only(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _square_pairs(pairs) -> list:
+    """Pairs (A_j, B_j) as complex square arrays, all of one dimension.
+
+    Raises
+    ------
+    ShapeError
+        Naming the first pair whose A and B differ in shape, or whose
+        dimension differs from that of pair 0.
+    """
+    squared = []
+    for i, (A, B) in enumerate(pairs):
+        A = as_square_matrix(A, f"A_{i}")
+        B = as_square_matrix(B, f"B_{i}")
+        if A.shape != B.shape:
+            raise ShapeError(f"pair {i}: A is {A.shape}, B is {B.shape}")
+        dim = squared[0][0].shape[0] if squared else A.shape[0]
+        if A.shape[0] != dim:
+            raise ShapeError(f"pair {i} has dimension {A.shape[0]}, expected {dim}")
+        squared.append((A, B))
+    return squared
+
+
 @dataclass(frozen=True)
 class ElementaryOperator:
     """Ordered coefficient pairs (A_j, B_j) defining X -> sum_j A_j X B_j.
@@ -104,20 +126,9 @@ class ElementaryOperator:
         """
         if not pairs:
             raise ValueError("coefficient list must be nonempty")
-        validated = []
-        dim = None
-        for i, (A, B) in enumerate(pairs):
-            A = as_square_matrix(A, f"A_{i}")
-            B = as_square_matrix(B, f"B_{i}")
-            if A.shape != B.shape:
-                raise ShapeError(
-                    f"pair {i}: A is {A.shape}, B is {B.shape}")
-            if dim is None:
-                dim = A.shape[0]
-            elif A.shape[0] != dim:
-                raise ShapeError(
-                    f"pair {i} has dimension {A.shape[0]}, expected {dim}")
-            validated.append((_read_only(A.copy()), _read_only(B.copy())))
+        validated = [(_read_only(A.copy()), _read_only(B.copy()))
+                     for A, B in _square_pairs(pairs)]
+        dim = validated[0][0].shape[0]
         luders = all(
             op_norm(A - B) <= tol * max(1.0, op_norm(A)) and is_psd(A, tol)
             for A, B in validated)
@@ -284,6 +295,9 @@ def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDe
     ------
     UnattainableEigenvalueError
         If dist(lam, R+) > 0.
+    ShapeError
+        If a pair's matrices are not square of one common size, before any
+        product is formed.
     ValueError
         If ``lam`` is not finite, or the pairs fail the PSD or product-sum
         check.
@@ -298,12 +312,13 @@ def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDe
 
     if not pairs:
         raise ValueError("need at least one coefficient pair")
-    k = as_square_matrix(pairs[0][0], "A_0").shape[0]
+    pairs = _square_pairs(pairs)
+    k = pairs[0][0].shape[0]
     total = np.zeros((k, k), dtype=complex)
     for i, (A, B) in enumerate(pairs):
         if not is_psd(A) or not is_psd(B):
             raise ValueError(f"pair {i} is not PSD at the default tolerance")
-        total += np.asarray(A, dtype=complex) @ np.asarray(B, dtype=complex)
+        total += A @ B
     gap = frob(total - lam * np.eye(k))
     if gap > tol * max(1.0, abs(lam)):
         raise ValueError(
@@ -311,8 +326,7 @@ def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDe
             f"(allowed {tol * max(1.0, abs(lam)):.3e})")
 
     blocks = tuple(
-        np.block([[np.asarray(A, dtype=complex), np.zeros((k, k))],
-                  [np.zeros((k, k)), np.asarray(B, dtype=complex)]])
+        np.block([[A, np.zeros((k, k))], [np.zeros((k, k)), B]])
         for A, B in pairs)
     op = ElementaryOperator.build([(T, T) for T in blocks])
     X0 = np.zeros((2 * k, 2 * k), dtype=complex)

@@ -15,8 +15,9 @@ and its zero-diagonalization:
   (:func:`zero_diagonalize`), then reads Y off entrywise against a fixed
   diagonal X with unit gaps.  The zero-diagonalization works on the
   target's own diagonal, whose convex hull contains 0 because the trace is
-  zero: each step zeroes one entry with a 2x2 or 3x3 unitary rotation of
-  O(n) cost, so the whole pass is O(n^2) and needs no eigendecomposition.
+  zero: each step zeroes one entry with one or two 2x2 unitary rotations
+  of coordinate planes, each of O(n) cost, so the whole pass is O(n^2) and
+  needs no eigendecomposition.
 
 Each solver's margin is a fixed module constant: the spectral gap
 :data:`GAP_MARGIN`, the block cap :data:`BLOCK_COND_CAP`, and the zero-trace
@@ -246,21 +247,6 @@ def _zero_form_vector_2x2(C: np.ndarray, tiny: float) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def _plane_target(M: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                  target: complex, tiny: float) -> np.ndarray:
-    """Unit x in span{u1, u2} with x* M x ~ target.
-
-    Valid whenever ``target`` lies in the numerical range of the compression
-    of M to the plane, which holds by convexity when it lies on the segment
-    between the Rayleigh values of u1 and u2.
-    """
-    Q, _ = np.linalg.qr(np.column_stack([u1, u2]))
-    C = Q.conj().T @ M @ Q
-    y = _zero_form_vector_2x2(C - target * np.eye(2), tiny)
-    x = Q @ y
-    return x / np.linalg.norm(x)
-
-
 def _hull_indices(diag: np.ndarray, act: np.ndarray, i: int):
     """Active indices whose diagonal entries put 0 within reach of diag[i].
 
@@ -287,18 +273,22 @@ def _hull_indices(diag: np.ndarray, act: np.ndarray, i: int):
     return [i, int(others[j])], None
 
 
-def _householder_with_first_column(v: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is the unit vector v."""
-    m = v.shape[0]
-    e1 = np.zeros(m, dtype=complex)
-    e1[0] = 1.0
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0
-    u = v + phase * e1
-    u = u / np.linalg.norm(u)
-    Q = np.eye(m, dtype=complex) - 2.0 * np.outer(u, u.conj())
-    # H e1 = -conj(phase) v; rescale the first column so it is exactly v
-    Q[:, 0] *= -phase
-    return Q
+def _rotate_plane(M: np.ndarray, U: np.ndarray, a: int, b: int,
+                  target: complex, tiny: float) -> None:
+    """Rotate the (a, b) coordinate plane of M in place so that M[a, a] ~ target.
+
+    The first column y of the 2x2 unitary G = [[y0, -conj(y1)], [y1, conj(y0)]]
+    has y* C y ~ target on the plane's compression C, which holds whenever
+    target lies in the numerical range of C.  Rows and columns a, b of M and
+    columns a, b of U change, at O(n) cost.
+    """
+    idx = [a, b]
+    C = M[np.ix_(idx, idx)]
+    y0, y1 = _zero_form_vector_2x2(C - target * np.eye(2), tiny)
+    G = np.array([[y0, -np.conj(y1)], [y1, np.conj(y0)]])
+    M[idx, :] = G.conj().T @ M[idx, :]
+    M[:, idx] = M[:, idx] @ G
+    U[:, idx] = U[:, idx] @ G
 
 
 def zero_diagonalize(T0):
@@ -314,11 +304,14 @@ def zero_diagonalize(T0):
     The diagonal entries are the Rayleigh values of the basis vectors and
     sum to the trace, so 0 lies in their convex hull (Fillmore 1969).  Each
     step takes the largest remaining entry d_i and one or two neighbours
-    whose entries put 0 on a segment or in a triangle with d_i, finds a unit
-    vector with vanishing quadratic form on that 2x2 or 3x3 compression by
-    closed-form plane solves, and rotates only those rows and columns.
-    Entry i is then zero and never touched again, so each step costs O(n)
-    and the whole pass O(n^2).
+    whose entries put 0 on a segment or in a triangle with d_i.  For a
+    triangle (i, j, k), with p the point where the ray from d_i through 0
+    crosses [d_j, d_k], a rotation of the (j, k) plane first makes entry j
+    equal to p; then a rotation of the (i, j) plane, whose diagonal now has
+    0 on its segment, makes entry i zero.  A segment needs only the second
+    rotation.  Each rotation is the closed-form 2x2 solve of
+    :func:`_rotate_plane`.  Entry i is then zero and never touched again,
+    so each step costs O(n) and the whole pass O(n^2).
 
     Raises
     ------
@@ -349,17 +342,9 @@ def zero_diagonalize(T0):
         if abs(diag[i]) <= done:
             break
         idx, p = _hull_indices(diag, act, i)
-        C = M[np.ix_(idx, idx)]
-        if p is None:
-            v = _zero_form_vector_2x2(C, tiny)
-        else:
-            e = np.eye(3)
-            x1 = _plane_target(C, e[:, 1], e[:, 2], p, tiny)
-            v = _plane_target(C, x1, e[:, 0], 0.0, tiny)
-        Q = _householder_with_first_column(v)
-        M[idx, :] = Q.conj().T @ M[idx, :]
-        M[:, idx] = M[:, idx] @ Q
-        U[:, idx] = U[:, idx] @ Q
+        if p is not None:
+            _rotate_plane(M, U, idx[1], idx[2], p, tiny)
+        _rotate_plane(M, U, i, idx[1], 0.0, tiny)
         active[i] = False
 
     worst = float(np.max(np.abs(np.diagonal(M))))

@@ -83,7 +83,7 @@ def test_decompose_other_summand_counts(workdir, m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_decompose_declined_target_exit_1(workdir, m):
-    # cond(S) 1.4e9 in the triangular split: the reason, and no traceback or output
+    # cond(S) 1.1e8 in the triangular split: the reason, and no traceback or output
     path = workdir / "declined.json"
     serialize.save_matrix(path, random_real_trace(np.random.default_rng([6, 100, 0]), 6, 0.6))
     out = workdir / "x.json"
@@ -91,7 +91,7 @@ def test_decompose_declined_target_exit_1(workdir, m):
                        "--summands", str(m))
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == (f"error: constructive {m}-summand path declined "
-                           "(cond(S) 1.4e+09 above 1e+08)\n")
+                           "(cond(S) 1.1e+08 above 1e+08)\n")
     assert not out.exists()
 
 
@@ -163,6 +163,17 @@ def test_luders_demo_nan_lambda_exit_1(workdir):
     assert proc.returncode == EXIT_USAGE
     assert "error: lambda must be finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_luders_demo_mismatched_pairs_exit_1(workdir):
+    serialize.save_pairs(workdir / "pairs.json",
+                         [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))])
+    out = workdir / "d.json"
+    proc = _run_module("luders-demo", "--lambda", "1",
+                       "--input", str(workdir / "pairs.json"), "--output", str(out))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: pair 1 has dimension 3, expected 2\n"
     assert not out.exists()
 
 

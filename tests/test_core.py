@@ -187,6 +187,10 @@ def test_matching_distance():
     assert core.matching_distance([1.0, 2.0], [1.1, 2.0]) == pytest.approx(0.1)
     with pytest.raises(core.ShapeError):
         core.matching_distance([1.0], [1.0, 2.0])
+    # the minimum-sum matching 0 <-> 0, 2 <-> 2j (sum 2√2) beats the
+    # bottleneck matching 0 <-> 2j, 2 <-> 0 (sum 4, largest distance 2),
+    # so the value is 2√2, an upper bound on the bottleneck distance 2
+    assert core.matching_distance([0, 2], [0, 2j]) == abs(2 - 2j)
 
 
 def _psd_test_subject(kind, n, seed, tol=1e-9):

@@ -184,6 +184,16 @@ def test_four_summands_infeasible_parameters(rng):
             four_summands(T, params)
 
 
+def test_four_summands_separation_error_reports_best_gap():
+    # the first of the 25 weight attempts comes closest, just under the
+    # 5e-4 margin; the later nudges only shrink the gap
+    with pytest.raises(ParameterError) as err:
+        four_summands(0.1 * np.eye(4), FourSummandParams(delta=0.0051, beta=0.005))
+    assert str(err.value) == ("could not separate summand spectra: best gap "
+                              "0.0004999999999999996 below margin 0.0005 "
+                              "after weight nudging")
+
+
 @pytest.mark.parametrize("field_name", ["a1_mode", "b_weights", "sep_margin"])
 def test_four_summand_params_removed_fields_rejected(field_name):
     assert [f.name for f in dataclasses.fields(FourSummandParams)] == ["delta", "beta"]

@@ -254,6 +254,19 @@ def test_plant_eigenvalue_rejects_non_finite(lam):
         plant_luders_eigenvalue(lam, scalar_product_pairs(1.0, 2, 3))
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))], r"pair 0: A is \(2, 2\), B is \(3, 3\)"),
+    ([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))], "pair 1 has dimension 3, expected 2"),
+    ([(np.eye(2), np.eye(2)), (np.ones((2, 3)), np.eye(2))], r"A_1 must be square"),
+])
+def test_plant_eigenvalue_names_bad_shapes(monkeypatch, pairs, message):
+    # the shape check names the pair, as ElementaryOperator.build does, and
+    # comes before the PSD screen and any product
+    monkeypatch.setattr(elementary, "is_psd", lambda *a: pytest.fail("is_psd called"))
+    with pytest.raises(ShapeError, match=f"^{message}"):
+        plant_luders_eigenvalue(1.0, pairs)
+
+
 def test_plant_eigenvalue_rejects_bad_pairs():
     with pytest.raises(ValueError):
         plant_luders_eigenvalue(2.0, [(np.eye(2), np.eye(2))])   # sums to I != 2I

@@ -11,6 +11,10 @@ A deletion can also leave its name in ``__all__``, which breaks
 on any ``__all__`` entry that no def, class, assignment or import binds at
 module level.
 
+A deletion can likewise leave a private helper behind with no caller, so
+one more check fails on any private module-level function, class or
+constant that no ``Name`` or ``Attribute`` anywhere in the package reads.
+
 The last two keep the package layered: every import of a sibling module
 sits at module level, where it is seen at import time, and the module-level
 ``from .x import`` edges form no cycle.
@@ -86,6 +90,36 @@ def test_all_names_are_bound(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unbound = sorted(_exported(tree) - _bound_names(tree))
     assert not unbound, f"{path.name} lists names in __all__ it never binds: {', '.join(unbound)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each private function, class or constant at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in ALL_MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = sorted(f"{module}: {name} (line {line})" for module, tree in trees.items()
+                  for name, line in _private_definitions(tree)
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+    assert not dead, f"private names never referenced: {', '.join(dead)}"
 
 
 def _sibling_targets(node: ast.ImportFrom) -> list[str]:

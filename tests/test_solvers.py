@@ -206,6 +206,51 @@ def test_zero_diagonalize_stops_once_the_diagonal_is_zero(monkeypatch):
     assert len(steps) == 1
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_zero_diagonalize_cube_roots_need_a_triangle(rng, monkeypatch, n):
+    # the cube roots of unity: 0 lies in the triangle of their entries but
+    # on no segment between two of them, so the first step takes the
+    # triangle branch
+    T0 = 1e-3 * random_trace_zero(rng, n)
+    np.fill_diagonal(T0, np.tile(np.exp(2j * np.pi * np.arange(3) / 3), n // 3))
+    hulls = []
+    hull = solvers._hull_indices
+    monkeypatch.setattr(solvers, "_hull_indices",
+                        lambda *args: hulls.append(hull(*args)) or hulls[-1])
+    assert_zero_diagonal(T0, *zero_diagonalize(T0))
+    idx, p = hulls[0]
+    assert len(idx) == 3 and p is not None
+
+
+def test_zero_diagonalize_at_most_two_rotations_per_step(rng, monkeypatch):
+    # rotations counted per step, a step starting at its _hull_indices call
+    per_step = []
+    hull, rotate = solvers._hull_indices, solvers._rotate_plane
+
+    def count_rotation(*args):
+        per_step[-1] += 1
+        rotate(*args)
+
+    monkeypatch.setattr(solvers, "_hull_indices",
+                        lambda *args: per_step.append(0) or hull(*args))
+    monkeypatch.setattr(solvers, "_rotate_plane", count_rotation)
+    for n in (3, 12, 33):
+        per_step.clear()
+        T0 = random_trace_zero(rng, n)
+        assert_zero_diagonal(T0, *zero_diagonalize(T0))
+        assert len(per_step) <= n - 1
+        assert all(1 <= k <= 2 for k in per_step), per_step
+        assert 2 in per_step   # random diagonals take the triangle branch too
+
+
+def test_zero_diagonalize_makes_no_qr_call(rng, monkeypatch):
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kwargs: pytest.fail("np.linalg.qr called"))
+    for n in (3, 16):
+        T0 = random_trace_zero(rng, n)
+        assert_zero_diagonal(T0, *zero_diagonalize(T0))
+
+
 def _structured_trace_zero(rng, kind, n):
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if kind == "hermitian":
