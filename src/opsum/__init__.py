@@ -26,7 +26,6 @@ from .decompose import (
     DecompConfig,
     DeclinedError,
     DecompositionResult,
-    FourSummandParams,
     ObstructionCertificate,
     ParameterError,
     SimilaritySummand,

@@ -77,8 +77,21 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def frob(M) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(M)))
+    """Frobenius norm.
+
+    ``np.linalg.norm`` squares the entries, so for finite nonzero input its
+    result can underflow to 0 or overflow to inf; a result outside
+    [1e-150, 1e150] is recomputed with the entries scaled by the largest
+    modulus.
+    """
+    M = np.asarray(M)
+    with np.errstate(over="ignore"):
+        f = float(np.linalg.norm(M))
+    if 1e-150 <= f <= 1e150 or not M.any():
+        return f
+    a = np.abs(M)   # real, so the scaling below is a real division
+    m = float(a.max())
+    return m * float(np.linalg.norm(a / m)) if np.isfinite(m) else f
 
 
 def op_norm(M) -> float:
@@ -195,12 +208,6 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
 _SCREEN_MARGIN = 1e-6
 
 
-def _scaled_frob(X: np.ndarray) -> float:
-    """Frobenius norm with the entries scaled to at most 1, so no square underflows."""
-    m = float(np.max(np.abs(X)))
-    return m * frob(X / m) if m > 0.0 else 0.0
-
-
 def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
               lam_min: float | None = None) -> bool:
     """The PSD verdict of :func:`is_psd`, given ``scale = ||A||`` and ``lam_min``,
@@ -226,9 +233,9 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     margin = _SCREEN_MARGIN
     root_n = math.sqrt(A.shape[0])
     D = A - A.conj().T
-    defect = _scaled_frob(D)
+    defect = frob(D)
     if scale is None:
-        hi = _scaled_frob(A)
+        hi = frob(A)
         lo = hi / root_n
     else:
         lo = hi = scale

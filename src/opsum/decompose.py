@@ -26,8 +26,9 @@ Pipelines
 
   whose right side has zero trace exactly when the scalar parameters absorb
   the trace of T; the off-diagonal blocks are then matched by back-solving
-  x_1 and y_2.  The free parameters are auto-tuned from trace(T) so every
-  real positive trace is feasible.
+  x_1 and y_2.  The scalars come from one fixed table in trace(T), so
+  every real positive trace is feasible and the four spectra stay
+  disjoint.
 * :func:`three_summands` and :func:`two_summands`: in finite dimension T
   is a sum of two matrices similar to positive exactly when T = 0 or
   trace(T) is real and positive.  Targets already (similar to) PSD take a
@@ -66,7 +67,6 @@ __all__ = [
     "SimilaritySummand",
     "DecompositionResult",
     "ObstructionCertificate",
-    "FourSummandParams",
     "DecompConfig",
     "DeclinedError",
     "ParameterError",
@@ -86,7 +86,8 @@ TRACE_TOL = 1e-9
 
 
 class ParameterError(ValueError):
-    """Raised when decomposition parameters cannot be tuned consistently."""
+    """Raised when the four-summand middles cannot be placed: a trace so
+    small that delta underflows."""
 
 
 class DeclinedError(RuntimeError):
@@ -164,9 +165,9 @@ def check_obstruction(T, tol: float = TRACE_TOL) -> ObstructionCertificate | Non
     """
     A = as_square_matrix(T)
     tr = complex(np.trace(A))
-    scale = frob(A)
-    if scale == 0.0:
+    if not A.any():
         return None
+    scale = frob(A)
     if abs(tr.imag) > tol * scale:
         return ObstructionCertificate(
             reason="non-real-trace", trace_value=tr,
@@ -263,68 +264,23 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
 # four summands (constructive)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourSummandParams:
-    """Free parameters of the four-summand split.
-
-    ``delta`` is the common difference a_j - b_j of the scalar pairs,
-    ``beta`` the sum b_2 + b_3 + b_4; both are auto-tuned from trace(T) when
-    None (target trace of the first middle block min(k, Re trace / 2), then
-    delta = remainder / 6k and beta from the trace identity).
-    """
-
-    delta: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.delta is not None and self.delta <= 0:
-            raise ParameterError("delta must be positive")
-        if self.beta is not None and self.beta <= 0:
-            raise ParameterError("beta must be positive")
-
-
-#: Fractions of beta given to b_2, b_3, b_4 before any nudging.
+#: Fractions of beta given to b_2, b_3, b_4.
 B_WEIGHTS = (0.2, 0.3, 0.5)
 
 
-def _tune_parameters(t: float, k: int, params: FourSummandParams):
-    """Resolve (trace(a1), delta, beta) from Re trace(T) = t > 0.
-
-    The trace identity t = trace(a1) + 2 beta k + 3 delta k fixes the last
-    unknown once two are set.  Without beta, trace(a1) = min(k, t / 2);
-    otherwise 2 beta k is set.  delta defaults to a sixth per k of what that
-    term leaves of t.
-    """
-    if params.beta is None:
-        tr_a1 = min(float(k), t / 2.0)
-        delta = params.delta if params.delta is not None else (t - tr_a1) / (6.0 * k)
-        beta = (t - tr_a1 - 3.0 * delta * k) / (2.0 * k)
-    else:
-        beta = params.beta
-        delta = params.delta if params.delta is not None else \
-            (t - 2.0 * beta * k) / (6.0 * k)
-        tr_a1 = t - 2.0 * beta * k - 3.0 * delta * k
-    for name, value in (("delta", delta), ("beta", beta), ("trace(a1)", tr_a1)):
-        if value <= 0:
-            raise ParameterError(
-                f"infeasible parameters: the trace identity t = tr(a1) + "
-                f"2*beta*k + 3*delta*k leaves {name} = {value} <= 0 at t = {t}")
-    return tr_a1, delta, beta
-
-
-def _nudge_weights(weights: np.ndarray, attempt: int) -> np.ndarray:
-    pattern = np.array([1.0, -0.7, 0.4])
-    w = weights * (1.0 + 0.01 * attempt * pattern)
-    return w / w.sum()
-
-
-def four_summands(T, params: FourSummandParams | None = None):
+def four_summands(T):
     """Split an even-dimensional matrix into four summands similar to positive.
 
     Requires real positive trace (otherwise an :class:`ObstructionCertificate`
     is returned).  Each summand's middle block is diagonal PSD with at most
-    two distinct eigenvalues, and distinct summands have disjoint spectra
-    with a recorded gap of at least min(1e-3, beta/10, delta/10).
+    two distinct eigenvalues.  The middles come in closed form from
+    t = Re trace(T) and k = n / 2: trace(a1) = max(min(k, t/2), t/4),
+    delta = (t - trace(a1)) / 6k and beta = 1.5 delta from the trace
+    identity, alpha = trace(a1) / k and b_j = beta * :data:`B_WEIGHTS`.  In
+    units of delta, alpha lies in [2, 6] and the other middles are
+    {1.3, 0.3}, {1.45, 0.45} and {1.75, 0.75}, so distinct summands have
+    disjoint spectra with a gap of at least 0.15 delta, 1.5 times the
+    recorded margin min(1e-3, beta/10, delta/10).
 
     Returns
     -------
@@ -335,43 +291,33 @@ def four_summands(T, params: FourSummandParams | None = None):
     ShapeError
         For odd dimension (never padded: padding would change the target).
     ParameterError
-        When the requested parameters cannot absorb the trace or the
-        spectra cannot be separated.
+        When the trace is so small that delta underflows.
     """
     A_full = as_square_matrix(T)
     n = A_full.shape[0]
     if n % 2 != 0:
         raise ShapeError(f"four-summand split needs even dimension, got {n}")
-    params = params or FourSummandParams()
 
     cert = check_obstruction(A_full)
     if cert is not None:
         return cert
-    if frob(A_full) == 0.0:
+    if not A_full.any():
         return _zero_result(n, 4, "four-term")
 
     k = n // 2
     t = float(np.trace(A_full).real)
-    tr_a1, delta, beta = _tune_parameters(t, k, params)
+    # the trace identity t = trace(a1) + 2 beta k + 3 delta k fixes beta
+    tr_a1 = max(min(float(k), t / 2.0), t / 4.0)
+    delta = (t - tr_a1) / (6.0 * k)
+    beta = (t - tr_a1 - 3.0 * delta * k) / (2.0 * k)
+    if not delta >= np.finfo(float).tiny:
+        raise ParameterError(
+            f"trace {t!r} is too small: delta = {delta!r} underflows")
     alpha = tr_a1 / k   # the first middle's top block is alpha I
 
     sep_goal = min(1e-3, beta / 10.0, delta / 10.0)
-    base_weights = np.asarray(B_WEIGHTS, dtype=float)
-    weights = base_weights
-    best_gap = 0.0
-    for attempt in range(25):
-        # middle j is diag(p_j I, q_j I), listed as (p_j, q_j)
-        middles = [(alpha, 0.0)] + [(b + delta, b) for b in beta * weights]
-        gap = min(abs(u - v) for i, mi in enumerate(middles)
-                  for mj in middles[i + 1:] for u in mi for v in mj)
-        if gap >= sep_goal:
-            break
-        best_gap = max(best_gap, float(gap))
-        weights = _nudge_weights(base_weights, attempt + 1)
-    else:
-        raise ParameterError(
-            f"could not separate summand spectra: best gap {best_gap!r} "
-            f"below margin {sep_goal!r} after weight nudging")
+    # middle j is diag(p_j I, q_j I), listed as (p_j, q_j)
+    middles = [(alpha, 0.0)] + [(b + delta, b) for b in beta * np.asarray(B_WEIGHTS)]
 
     A = A_full[:k, :k]
     B = A_full[:k, k:]
@@ -405,7 +351,7 @@ def four_summands(T, params: FourSummandParams | None = None):
         for (x, y), (p, q) in zip(similarities, middles))
     return _finish(A_full, summands, "four-term", {
         "delta": delta, "beta": beta, "trace_a1": tr_a1,
-        "b_weights": tuple(float(w) for w in weights),
+        "b_weights": B_WEIGHTS,
         "sep_margin": sep_goal,
         "block_identity_residual": float(block_identity),
         "commutator_residual": comm.residual,
@@ -450,7 +396,7 @@ def _shortcut(A, m: int):
     cert = check_obstruction(A)
     if cert is not None:
         return cert
-    if frob(A) == 0.0:
+    if not A.any():
         return _zero_result(A.shape[0], m, "shortcut")
     pc = positivity_certificate(A)
     if not is_similar_to_positive(pc):
@@ -545,19 +491,19 @@ def two_summands(T, config: DecompConfig | None = None):
     return _best_effort(T, 2)
 
 
-def sum_of_products(T, m: int, config: DecompConfig | None = None,
-                    params: FourSummandParams | None = None):
+def sum_of_products(T, m: int, config: DecompConfig | None = None):
     """Express T as m products of PSD pairs, T = sum_j A_j B_j.
 
-    m = 4 routes through :func:`four_summands` (even dimension), m = 3 and
-    m = 2 through :func:`three_summands` and :func:`two_summands`, which
-    raise :class:`DeclinedError` when their construction declines.  Returns
+    m = 4 routes through :func:`four_summands` (even dimension, middles from
+    its fixed table), m = 3 and m = 2 through :func:`three_summands` and
+    :func:`two_summands`, which raise :class:`DeclinedError` when their
+    construction declines.  Returns
     the list of PSD pairs or an :class:`ObstructionCertificate`.  ``config``
     is deprecated and unread.
     """
     if m not in (2, 3, 4):
         raise ValueError(f"summand count must be 2, 3 or 4, got {m}")
-    result = four_summands(T, params) if m == 4 else _best_effort(T, m)
+    result = four_summands(T) if m == 4 else _best_effort(T, m)
     if isinstance(result, ObstructionCertificate):
         return result
     return list(result.product_form)

@@ -374,7 +374,7 @@ def commutator_solve(T0) -> CommutatorSolution:
     A = as_square_matrix(T0, "T0")
     n = A.shape[0]
     scale = max(1.0, frob(A))
-    if frob(A) == 0.0:
+    if not A.any():
         zero = np.zeros_like(A)
         return CommutatorSolution(zero, zero.copy(), 0.0)
 

@@ -8,6 +8,21 @@ from opsum.randmat import random_complex, random_invertible, random_psd, random_
 from conftest import eigenvalues_by_companion
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-320, 1e200, 1e300])
+def test_frob_no_underflow_or_overflow(scale):
+    M = np.array([[3.0, 0.0], [4.0j, 0.0]])
+    assert core.frob(scale * M) == pytest.approx(5.0 * scale, rel=1e-15 if scale > 1e-300 else 1e-3)
+
+
+def test_frob_keeps_numpy_bits_in_range(rng):
+    for M in (random_complex(rng, 7), 1e-140 * random_complex(rng, 3),
+              1e140 * random_complex(rng, 3)):
+        assert core.frob(M) == float(np.linalg.norm(M))
+    assert core.frob(np.zeros((3, 3))) == 0.0
+    assert core.frob(np.array([[np.inf, 1.0]])) == np.inf
+    assert np.isnan(core.frob(np.array([[np.nan, 1e-200]])))
+
+
 def test_eig_diagonal():
     report = core.eig(np.diag([1.0, 2.0, 3.0]))
     assert np.allclose(report.eigenvalues, [1.0, 2.0, 3.0])

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import time
 import warnings
 
@@ -13,7 +12,6 @@ from opsum.decompose import (
     DecompConfig,
     DeclinedError,
     DecompositionResult,
-    FourSummandParams,
     ObstructionCertificate,
     ParameterError,
     check_obstruction,
@@ -155,50 +153,110 @@ def test_zero_target_statistics(split, m):
 
 @pytest.mark.parametrize("n, margin", [(2, 2.2127), (8, 4.5)])
 def test_four_summands_nudges_weights_apart(n, margin):
-    # at these traces the first middle block's eigenvalue 1 lands on one of
-    # the default b_j or a_j, so the weights must be nudged to separate them
+    # above t = 4k, a first middle of trace k would meet one of the
+    # b_j + delta at these traces; trace(a1) = t / 4 puts alpha at 2 delta
     T = random_real_trace(np.random.default_rng(n), n, margin * n)
     result = four_summands(T)
     diagnostics = result.diagnostics
-    assert diagnostics["b_weights"] != (0.2, 0.3, 0.5)
-    assert result.pairwise_spectra_gap >= diagnostics["sep_margin"]
+    assert diagnostics["b_weights"] == (0.2, 0.3, 0.5)
+    assert result.pairwise_spectra_gap >= 1.5 * diagnostics["sep_margin"]
     report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=2,
                                   min_pairwise_gap=diagnostics["sep_margin"])
     assert report.passed, report.failures()
 
 
-def test_four_summands_explicit_parameters(rng):
-    T = random_real_trace(rng, 4, trace=8.0)
-    result = four_summands(T, FourSummandParams(delta=0.25, beta=0.5))
-    assert isinstance(result, DecompositionResult)
-    assert result.reconstruction_residual <= 1e-7
-    assert result.diagnostics["delta"] == 0.25
+def test_four_summand_params_removed():
+    import opsum
+    assert not hasattr(opsum, "FourSummandParams")
+    assert not hasattr(opsum.decompose, "FourSummandParams")
+    T = random_real_trace(np.random.default_rng(0), 4, trace=4.0)
+    with pytest.raises(TypeError):
+        four_summands(T, None)
+    with pytest.raises(TypeError):
+        sum_of_products(T, 4, None, None)
 
 
-def test_four_summands_infeasible_parameters(rng):
-    T = random_real_trace(rng, 4, trace=1.0)
-    for params, name in [(FourSummandParams(delta=10.0, beta=10.0), "trace(a1)"),
-                         (FourSummandParams(delta=10.0), "beta"),
-                         (FourSummandParams(beta=10.0), "delta")]:
-        with pytest.raises(ParameterError, match=rf"leaves {re.escape(name)} = "):
-            four_summands(T, params)
+def test_four_summands_small_scalar_target():
+    T = 0.1 * np.eye(4)
+    result = four_summands(T)
+    margin = result.diagnostics["sep_margin"]
+    report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=2,
+                                  min_pairwise_gap=margin)
+    assert report.passed, report.failures()
 
 
-def test_four_summands_separation_error_reports_best_gap():
-    # the first of the 25 weight attempts comes closest, just under the
-    # 5e-4 margin; the later nudges only shrink the gap
-    with pytest.raises(ParameterError) as err:
-        four_summands(0.1 * np.eye(4), FourSummandParams(delta=0.0051, beta=0.005))
-    assert str(err.value) == ("could not separate summand spectra: best gap "
-                              "0.0004999999999999996 below margin 0.0005 "
-                              "after weight nudging")
+def _check_fixed_table(n, t, seed):
+    # a margin-1 target scaled to Re tr T = t, so its similarities stay
+    # well conditioned at every t
+    T = (t / n) * random_real_trace(np.random.default_rng(seed), n, float(n))
+    result = four_summands(T)
+    margin = result.diagnostics["sep_margin"]
+    assert result.diagnostics["b_weights"] == (0.2, 0.3, 0.5)
+    # the gap 0.15 delta is exactly 1.5 margins once delta / 10 <= 1e-3 sets
+    # the margin, so the floats may round a few ulps under it
+    assert result.pairwise_spectra_gap >= 1.5 * margin * (1.0 - 1e-12)
+    report = verify_decomposition(T, result, tol=1e-6, max_spectrum_points=2,
+                                  min_pairwise_gap=margin)
+    assert report.passed, (n, t, report.failures())
+    # up to t = 4k the first middle keeps the parent's trace(a1)
+    t_re = float(np.trace(T).real)
+    if t_re <= 2 * n:
+        assert result.diagnostics["trace_a1"] == min(n // 2, t_re / 2)
 
 
-@pytest.mark.parametrize("field_name", ["a1_mode", "b_weights", "sep_margin"])
-def test_four_summand_params_removed_fields_rejected(field_name):
-    assert [f.name for f in dataclasses.fields(FourSummandParams)] == ["delta", "beta"]
-    with pytest.raises(TypeError, match=field_name):
-        FourSummandParams(**{field_name: 1})
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_four_summands_fixed_table_grid(n):
+    k = n // 2
+    # log-spaced traces plus the two breakpoints of trace(a1) and their
+    # neighbours
+    breaks = [r * k * (1.0 + e) for r in (2.0, 4.0) for e in (-1e-9, 0.0, 1e-9)]
+    for t in sorted([*np.logspace(-6, 6, 25), *breaks]):
+        _check_fixed_table(n, float(t), seed=n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 4, 6, 8]), log_t=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_four_summands_fixed_table_property(n, log_t, seed):
+    _check_fixed_table(n, 10.0 ** log_t, seed)
+
+
+@pytest.mark.parametrize("n, margin", [(2, 2.2127), (4, 3.0), (8, 50.0)])
+def test_four_summands_scale_covariant_above_4k(n, margin):
+    # above t = 4k every middle is proportional to t, so scaling by a power
+    # of two scales the middles exactly and leaves S_j bit for bit
+    T = random_real_trace(np.random.default_rng(n), n, margin * n)
+    one, four = four_summands(T), four_summands(4 * T)
+    for s, s4 in zip(one.summands, four.summands):
+        assert np.array_equal(s4.S, s.S)
+        assert np.array_equal(s4.P, 4 * s.P)
+
+
+def test_two_summands_tiny_traceless_part_is_obstructed():
+    # np.linalg.norm squares 1e-170 to 0: the target is not the zero matrix
+    T = np.diag([1e-170, -2e-170])
+    cert = two_summands(T)
+    assert isinstance(cert, ObstructionCertificate)
+    assert cert.reason == "nonpositive-real-trace"
+    assert check_obstruction(T).reason == "nonpositive-real-trace"
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_four_summands_extreme_scales(scale):
+    # the Frobenius norms of these targets underflow or overflow when the
+    # entries are squared unscaled
+    T = scale * np.array([[2.0, 1.0], [0.0, 1.0]])
+    result = four_summands(T)
+    assert 0.0 < frob(sum(s.value for s in result.summands)) < np.inf
+    assert result.reconstruction_residual <= 1e-12
+    report = verify_decomposition(T, result, tol=1e-12, max_spectrum_points=2,
+                                  min_pairwise_gap=result.diagnostics["sep_margin"])
+    assert report.passed, report.failures()
+
+
+def test_four_summands_delta_underflow_raises():
+    with pytest.raises(ParameterError, match="underflows"):
+        four_summands(np.diag([1e-310, 0.0]))
 
 
 def test_four_summands_solver_config_removed(rng):

@@ -173,8 +173,8 @@ def test_condition_study_rejects_margin_whose_key_overflows(margin):
 
 
 def test_condition_study_accepts_largest_finite_key():
-    # 1.79e296 * 1e12 is still finite: the margin runs (the target overflows,
-    # so the record is a failure) with the key it always had
-    with np.errstate(over="ignore", invalid="ignore"):
-        (record,) = condition_study([2], [1.79e296], 1, 0)
-    assert (record.trace_margin, record.success) == (1.79e296, False)
+    # 1.79e296 * 1e12 is still finite: the margin runs with the key it always
+    # had, and the split of its huge target is exact
+    (record,) = condition_study([2], [1.79e296], 1, 0)
+    assert (record.trace_margin, record.success) == (1.79e296, True)
+    assert record.residual <= 1e-12
