@@ -38,7 +38,8 @@ Pipelines
   :class:`DeclinedError` with the reason.
 
 Every pipeline builds its result in one place, which reads each summand's
-spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
+spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum)
+and forms its product form from the S^-1 the summand was built with.
 """
 
 from __future__ import annotations
@@ -97,12 +98,17 @@ class DeclinedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimilaritySummand:
-    """A summand S P S^-1 with S invertible and P positive semidefinite."""
+    """A summand S P S^-1 with S invertible and P positive semidefinite.
+
+    ``S_inv`` is the S^-1 the summand was built with: ``inv(S)`` from
+    :func:`make_summand`, the closed form from the four-summand table.
+    """
 
     S: np.ndarray
     P: np.ndarray
     value: np.ndarray
     condition_number: float
+    S_inv: np.ndarray
 
     def candidate_witness(self) -> np.ndarray:
         """S W with P = W diag(p) W* from ``eigh``: a basis that diagonalizes
@@ -119,12 +125,17 @@ class SimilaritySummand:
 
 
 def make_summand(S, P) -> SimilaritySummand:
-    """Build a summand, caching its value and the similarity conditioning."""
+    """Build a summand, caching its value, S^-1 and the similarity conditioning."""
     S = as_square_matrix(S, "S")
-    P = as_square_matrix(P, "P")
+    return _summand(S, as_square_matrix(P, "P"), float(np.linalg.cond(S)))
+
+
+def _summand(S, P, cond: float) -> SimilaritySummand:
+    """:func:`make_summand` with cond(S) known; the value keeps the
+    backward-stable ``solve``, more accurate than (S P) inv(S)."""
     value = np.linalg.solve(S.T, (S @ P).T).T   # (S P) S^-1
-    return SimilaritySummand(
-        S=S, P=P, value=value, condition_number=float(np.linalg.cond(S)))
+    return SimilaritySummand(S=S, P=P, value=value, condition_number=cond,
+                             S_inv=np.linalg.inv(S))
 
 
 @dataclass(frozen=True)
@@ -225,18 +236,23 @@ def to_positive_product(S, P):
     """
     S = as_square_matrix(S, "S")
     P = as_square_matrix(P, "P")
-    return _positive_product(S, P, float(np.linalg.cond(S)))
+    cond = float(np.linalg.cond(S))
+    _check_product_cond(cond)   # before solve and inv can meet a singular S
+    return _positive_product(_summand(S, P, cond))
 
 
-def _positive_product(S, P, cond: float):
-    """:func:`to_positive_product` with cond(S) already known."""
-    if not np.isfinite(cond) or cond > PRODUCT_COND_CAP:
+def _check_product_cond(cond: float):
+    if not cond <= PRODUCT_COND_CAP:   # nan included
         raise ValueError(f"S is numerically singular (cond {cond:.3e})")
-    if not is_psd(P):
+
+
+def _positive_product(s: SimilaritySummand):
+    """(S S*, (S^-1)* P S^-1) of a summand, from its own S^-1."""
+    _check_product_cond(s.condition_number)
+    if not is_psd(s.P):
         raise ValueError("P is not positive semidefinite")
-    Sinv = np.linalg.inv(S)
-    A = S @ S.conj().T
-    B = Sinv.conj().T @ P @ Sinv
+    A = s.S @ s.S.conj().T
+    B = s.S_inv.conj().T @ s.P @ s.S_inv
     return hermitian_part(A), hermitian_part(B)
 
 
@@ -245,8 +261,8 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
 
     Each value S P S^-1 has the spectrum of its middle P, and every pipeline
     builds P with ``np.diag``, so the statistics read each spectrum off the
-    sorted diagonal of P; the product form reuses the cached cond(S) of
-    every summand.
+    sorted diagonal of P; the product form reuses the cached cond(S) and
+    S^-1 of every summand.
     """
     summands = tuple(summands)
     residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
@@ -255,8 +271,7 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
     return DecompositionResult(
         summands=summands, reconstruction_residual=float(residual),
         spectra_point_counts=counts, pairwise_spectra_gap=gap,
-        product_form=tuple(_positive_product(s.S, s.P, s.condition_number)
-                           for s in summands),
+        product_form=tuple(map(_positive_product, summands)),
         method=method, diagnostics=diagnostics)
 
 
@@ -266,6 +281,22 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
 
 #: Fractions of beta given to b_2, b_3, b_4.
 B_WEIGHTS = (0.2, 0.3, 0.5)
+
+
+def _table_summand(x, y, p: float, q: float) -> SimilaritySummand:
+    """The summand S diag(p I, q I) S^-1 with S = [[I, x], [y, I + y x]].
+
+    The leading block of S and its Schur complement are both I, so
+    S^-1 = [[I + x y, -x], [-y, I]] in closed form: neither the value nor
+    the product form factors S.
+    """
+    eye = np.eye(x.shape[0], dtype=complex)
+    S = np.block([[eye, x], [y, eye + y @ x]])
+    S_inv = np.block([[eye + x @ y, -x], [-y, eye]])
+    d = np.repeat([p, q], x.shape[0])
+    return SimilaritySummand(
+        S=S, P=np.diag(d).astype(complex), value=(S * d) @ S_inv,
+        condition_number=float(np.linalg.cond(S)), S_inv=S_inv)
 
 
 def four_summands(T):
@@ -342,13 +373,11 @@ def four_summands(T):
         raise RuntimeError(
             f"internal block identity violated: {block_identity:.3e}")
 
-    # similarity pairs (x_j, y_j) of S_j = [[I, x_j], [y_j, I + y_j x_j]]
+    # similarity pairs (x_j, y_j) of the table summands
     zero = np.zeros((k, k), dtype=complex)
     similarities = ((x1, zero), (zero, y2), (x3, eye), (x4, y4))
-    summands = tuple(
-        make_summand(np.block([[eye, x], [y, eye + y @ x]]),
-                     np.diag(np.repeat([p, q], k)).astype(complex))
-        for (x, y), (p, q) in zip(similarities, middles))
+    summands = tuple(_table_summand(x, y, p, q)
+                     for (x, y), (p, q) in zip(similarities, middles))
     return _finish(A_full, summands, "four-term", {
         "delta": delta, "beta": beta, "trace_a1": tr_a1,
         "b_weights": B_WEIGHTS,
@@ -441,10 +470,12 @@ def _triangular(T, m: int):
     summands = []
     for X in parts:
         w, V = np.linalg.eig(X)
-        s = make_summand(R.conj().T @ V, np.diag(w.real).astype(complex))
-        if not s.condition_number <= DEFAULT_COND_CAP:
-            return None, f"cond(S) {s.condition_number:.1e} above {DEFAULT_COND_CAP:.0e}"
-        summands.append(s)
+        S = R.conj().T @ V
+        cond = float(np.linalg.cond(S))
+        # gate before solve and inv: eig may return an exactly singular V
+        if not cond <= DEFAULT_COND_CAP:
+            return None, f"cond(S) {cond:.1e} above {DEFAULT_COND_CAP:.0e}"
+        summands.append(_summand(S, np.diag(w.real).astype(complex), cond))
     summands += summands[-1:] * (m - 2)   # for m = 3 the two halves are one summand
     result = _finish(T, summands, "constructive",
                      {"note": "triangular split of the zero-diagonal form"})

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -389,3 +391,34 @@ def test_module_entry_point(workdir):
     assert len(out.read_text().strip().splitlines()) == 1 + 9
     proc = _run_module("nosuchcommand")
     assert proc.returncode == EXIT_USAGE
+
+
+def _readme_command_lines():
+    """(argv, expected exit code) of each ``opsum`` line of README's
+    "Command line" block; a trailing ``# exit N`` comment gives N, else 0."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        match = re.match(r"\s*exit (\d+)", comment)
+        lines.append((shlex.split(command), int(match.group(1)) if match else EXIT_OK))
+    return lines
+
+
+def test_readme_command_lines(tmp_path, monkeypatch):
+    lines = _readme_command_lines()
+    assert len(lines) == 7 and all(argv[0] == "opsum" for argv, _ in lines)
+    assert (["opsum", "luders-demo", "--lambda=-1", "--output", "demo.json"],
+            EXIT_OBSTRUCTION) in lines
+    monkeypatch.chdir(tmp_path)
+    serialize.save_matrix("T.json", np.array([[5.0, 1.0], [1.0, 0.0]]))
+    rng = np.random.default_rng(1)
+    serialize.save_pairs("pairs.json", [(random_psd(rng, 2), random_psd(rng, 2))
+                                        for _ in range(2)])
+    for argv, expected in lines:
+        output = Path(argv[argv.index("--output") + 1])
+        output.unlink(missing_ok=True)
+        assert main(argv[1:]) == expected, argv
+        assert output.exists() or expected != EXIT_OK, argv

@@ -407,6 +407,56 @@ def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
     assert calls == [("eigvalsh", n)] * 4
 
 
+def test_four_summands_factors_no_similarity(monkeypatch):
+    # every table summand carries S^-1 in closed form, so neither its value
+    # nor its product form runs solve or inv
+    calls = []
+    for name in ("solve", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    T = random_real_trace(np.random.default_rng([16, 1]), 16, 16.0)
+    result = four_summands(T)
+    assert calls == []
+    assert verify_decomposition(T, result, tol=1e-6).passed
+
+
+def _assert_inverse_at_rounding_level(result):
+    eps = np.finfo(float).eps
+    for s in result.summands:
+        n = s.S.shape[0]
+        assert frob(s.S @ s.S_inv - np.eye(n)) <= n * eps * s.condition_number
+
+
+@pytest.mark.parametrize("n, margin", [(2, 1.0), (4, 0.1), (16, 1.0), (16, 0.1), (64, 1.0)])
+def test_four_summands_closed_form_inverse(n, margin):
+    T = random_real_trace(np.random.default_rng([n, 1, int(100 * margin)]), n, margin * n)
+    _assert_inverse_at_rounding_level(four_summands(T))
+
+
+@pytest.mark.parametrize("split", [two_summands, three_summands])
+@pytest.mark.parametrize("T", [
+    np.diag([1.0, 2.0, 3.0]),                                         # shortcut
+    np.array([[2.0, 1.0], [0.0, 1.0]]),                               # shortcut
+    random_real_trace(np.random.default_rng([3, 1, 1000]), 3, 30.0),  # triangular
+    random_real_trace(np.random.default_rng([9, 1, 1000]), 9, 90.0),  # triangular
+    np.zeros((3, 3)),                                                 # zero target
+])
+def test_split_summands_inverse(split, T):
+    _assert_inverse_at_rounding_level(split(T))
+
+
+def test_make_summand_inverse_is_inv_bit_for_bit(rng):
+    for n in (1, 2, 5, 16):
+        S = random_invertible(rng, n)
+        s = make_summand(S, random_psd(rng, n))
+        assert s.S_inv.tobytes() == np.linalg.inv(s.S).tobytes()
+        assert s.S_inv.tobytes() == np.linalg.inv(np.asarray(S, dtype=complex)).tobytes()
+
+
 def _assert_witness_is_s(s):
     """The candidate for a diagonal P is a copy of S; the eigh witness S W
     holds the same columns, bit for bit, in the order eigh lists P's
@@ -484,6 +534,16 @@ def test_to_positive_product_rejections(rng):
         to_positive_product(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(ValueError):
         to_positive_product(np.eye(2), np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("S", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
+def test_to_positive_product_singular_gated_before_factorization(S, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("factorization ran before the cond(S) gate")
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    with pytest.raises(ValueError, match="numerically singular"):
+        to_positive_product(S, np.eye(2))
 
 
 def test_to_positive_product_condition_cap_is_1e12():
@@ -629,6 +689,21 @@ def test_declined_split_raises_reason(split):
 
 
 @pytest.mark.parametrize("split", [two_summands, three_summands])
+@pytest.mark.parametrize("T", [
+    np.diag([1 + 1e-12, -1, 0.5, -0.5]),
+    np.diag([1e-300, 0, 0, 0]) + np.eye(4, k=1),
+    random_real_trace(np.random.default_rng([6, 25]), 6, 1e-6),
+])
+def test_singular_eigenvectors_decline(split, T):
+    # eig returns an exactly (or numerically) singular eigenvector matrix;
+    # the cond(S) gate declines before solve or inv can raise LinAlgError
+    m = 2 if split is two_summands else 3
+    with pytest.raises(DeclinedError, match=(
+            rf"^constructive {m}-summand path declined \(cond\(S\) \S+ above 1e\+08\)$")):
+        split(T)
+
+
+@pytest.mark.parametrize("split", [two_summands, three_summands])
 def test_constructive_route_dominant_trace(split):
     # T - (tr T / n) I keeps a rounding trace of order eps |tr T|, far above
     # the zero-trace gate of the small remainder; the split must still run
@@ -703,6 +778,17 @@ def test_sum_of_products_four_route():
     pairs = sum_of_products(T, 4)
     total = sum(a @ b for a, b in pairs)
     assert frob(total - T) <= 1e-7 * frob(T)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_sum_of_products_four_true_at_scale(n):
+    # the README generator at margin 1; each product form uses the S^-1
+    # its summand was built with, not a second inversion of S
+    for s in range(5):
+        T = random_real_trace(np.random.default_rng([n, s, 100]), n, 1.0 * n)
+        pairs = sum_of_products(T, 4)
+        total = sum(a @ b for a, b in pairs)
+        assert np.linalg.norm(total - T, 2) <= 1e-4 * np.linalg.norm(T, 2)
 
 
 def test_sum_of_products_certificate():
