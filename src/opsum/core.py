@@ -138,23 +138,22 @@ class SpectrumReport:
         return len(self.eigenvalues)
 
 
-def eig(M, tol: float = DEFAULT_TOL) -> SpectrumReport:
+def eig(M) -> SpectrumReport:
     """Dense eigensolve returning a :class:`SpectrumReport`.
 
     Parameters
     ----------
     M : array_like, square
         Matrix to analyze.
-    tol : float
-        Relative tolerance used for the containment verdict.
 
     Returns
     -------
     SpectrumReport
-        All eigenvalues with multiplicity, sorted by (Re, Im).
+        All eigenvalues with multiplicity, sorted by (Re, Im), with the
+        containment verdict at the relative tolerance :data:`DEFAULT_TOL`.
     """
     A = as_square_matrix(M)
-    return _spectrum_report(sorted_eigenvalues(np.linalg.eigvals(A)), op_norm(A), tol)
+    return _spectrum_report(sorted_eigenvalues(np.linalg.eigvals(A)), op_norm(A), DEFAULT_TOL)
 
 
 def _spectrum_report(w: np.ndarray, scale: float, tol: float) -> SpectrumReport:

@@ -130,12 +130,12 @@ def make_summand(S, P) -> SimilaritySummand:
     return _summand(S, as_square_matrix(P, "P"), float(np.linalg.cond(S)))
 
 
-def _summand(S, P, cond: float) -> SimilaritySummand:
-    """:func:`make_summand` with cond(S) known; the value keeps the
-    backward-stable ``solve``, more accurate than (S P) inv(S)."""
+def _summand(S, P, cond: float, S_inv: np.ndarray | None = None) -> SimilaritySummand:
+    """:func:`make_summand` with cond(S), and possibly S^-1, known; the value
+    keeps the backward-stable ``solve``, more accurate than (S P) inv(S)."""
     value = np.linalg.solve(S.T, (S @ P).T).T   # (S P) S^-1
     return SimilaritySummand(S=S, P=P, value=value, condition_number=cond,
-                             S_inv=np.linalg.inv(S))
+                             S_inv=np.linalg.inv(S) if S_inv is None else S_inv)
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,14 @@ class DecompositionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def check_obstruction(T, tol: float = TRACE_TOL) -> ObstructionCertificate | None:
+def check_obstruction(T) -> ObstructionCertificate | None:
     """Trace obstruction to being a sum of matrices similar to positive ones.
 
     Every matrix similar to a positive one has real nonnegative trace (its
     spectrum lies in [0, inf)), and the trace of a sum of nonzero such
     summands is strictly positive unless all summands vanish.  Returns a
-    certificate for non-real or nonpositive real trace, else None.  None
+    certificate for non-real trace (|Im trace(T)| above :data:`TRACE_TOL`
+    times ||T||_F) or nonpositive real trace, else None.  None
     means a two-summand split exists: T = 0, or real positive trace, where
     the triangular split of :func:`two_summands` is exact in exact
     arithmetic (numerically it may be too ill-conditioned to build).
@@ -179,7 +180,7 @@ def check_obstruction(T, tol: float = TRACE_TOL) -> ObstructionCertificate | Non
     if not A.any():
         return None
     scale = frob(A)
-    if abs(tr.imag) > tol * scale:
+    if abs(tr.imag) > TRACE_TOL * scale:
         return ObstructionCertificate(
             reason="non-real-trace", trace_value=tr,
             explanation=(
@@ -195,9 +196,8 @@ def check_obstruction(T, tol: float = TRACE_TOL) -> ObstructionCertificate | Non
 
 
 def _zero_result(n: int, m: int, method: str) -> DecompositionResult:
-    eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
-    summands = tuple(make_summand(eye, zero) for _ in range(m))
+    summands = (make_summand(np.eye(n, dtype=complex), zero),) * m
     return _finish(zero, summands, method, {"note": "zero target"})
 
 
@@ -420,7 +420,8 @@ def _shortcut(A, m: int):
 
     Trace obstructions and the zero target come first.  A target similar to
     positive, V^-1 A V = diag(d), splits inside the witness basis V: into
-    (d - min d) + min d for m = 2, into m equal parts otherwise.
+    (d - min d) + min d for m = 2, into m equal parts (one summand,
+    repeated) otherwise; V is inverted once.
     """
     cert = check_obstruction(A)
     if cert is not None:
@@ -431,14 +432,17 @@ def _shortcut(A, m: int):
     if not is_similar_to_positive(pc):
         return None
     V = pc.witness
-    d = np.maximum(np.real(np.linalg.inv(V) @ A @ V).diagonal(), 0.0)
+    V_inv = np.linalg.inv(V)
+    d = np.maximum(np.real(V_inv @ A @ V).diagonal(), 0.0)
     if m == 2:
         middles = (d - d.min(), np.full_like(d, d.min()))
         note = "smallest-eigenvalue split of a positive-like target"
     else:
-        middles = (d / m,) * m
+        middles = (d / m,)
         note = f"target already {pc.kind}; split into {m} equal parts"
-    summands = [make_summand(V, np.diag(p).astype(complex)) for p in middles]
+    cond = float(np.linalg.cond(V))
+    summands = [_summand(V, np.diag(p).astype(complex), cond, V_inv) for p in middles]
+    summands += summands[-1:] * (m - len(summands))
     return _finish(A, summands, "shortcut", {"note": note})
 
 

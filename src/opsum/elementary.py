@@ -113,16 +113,16 @@ class ElementaryOperator:
     pairs: tuple
     dim: int
     is_luders: bool
-    tolerance: float
 
     @classmethod
-    def build(cls, pairs, tol: float = DEFAULT_TOL) -> "ElementaryOperator":
+    def build(cls, pairs) -> "ElementaryOperator":
         """Validate coefficient pairs and detect the Lüders case.
 
-        ``is_luders`` is true iff every A_j equals B_j within tolerance and
-        all coefficients are PSD.  The coefficients are copied and kept
-        read-only, so later changes to the caller's arrays do not reach the
-        operator.
+        ``is_luders`` is true iff every A_j equals B_j and all coefficients
+        are PSD, both at the relative tolerance
+        :data:`~opsum.core.DEFAULT_TOL`.  The coefficients are copied and
+        kept read-only, so later changes to the caller's arrays do not reach
+        the operator.
         """
         if not pairs:
             raise ValueError("coefficient list must be nonempty")
@@ -130,9 +130,9 @@ class ElementaryOperator:
                      for A, B in _square_pairs(pairs)]
         dim = validated[0][0].shape[0]
         luders = all(
-            op_norm(A - B) <= tol * max(1.0, op_norm(A)) and is_psd(A, tol)
+            op_norm(A - B) <= DEFAULT_TOL * max(1.0, op_norm(A)) and is_psd(A)
             for A, B in validated)
-        return cls(pairs=tuple(validated), dim=dim, is_luders=luders, tolerance=tol)
+        return cls(pairs=tuple(validated), dim=dim, is_luders=luders)
 
     @property
     def length(self) -> int:
@@ -203,8 +203,8 @@ class ElementaryOperator:
         """
         return _spectrum_report(self._eigenvalues, self._norm, tol)
 
-    def coefficients_psd(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(is_psd(A, tol) and is_psd(B, tol) for A, B in self.pairs)
+    def coefficients_psd(self) -> bool:
+        return all(is_psd(A) and is_psd(B) for A, B in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -223,25 +223,26 @@ class HsPositivityReport:
     commuting_side: str | None
 
 
-def _commuting_side(op: ElementaryOperator, tol: float) -> str | None:
+def _commuting_side(op: ElementaryOperator) -> str | None:
     if op.length != 2:
         return None
     (A1, B1), (A2, B2) = op.pairs
     scale_a = max(1.0, op_norm(A1) * op_norm(A2))
     scale_b = max(1.0, op_norm(B1) * op_norm(B2))
-    if op_norm(A1 @ A2 - A2 @ A1) <= tol * scale_a:
+    if op_norm(A1 @ A2 - A2 @ A1) <= DEFAULT_TOL * scale_a:
         return "left"
-    if op_norm(B1 @ B2 - B2 @ B1) <= tol * scale_b:
+    if op_norm(B1 @ B2 - B2 @ B1) <= DEFAULT_TOL * scale_b:
         return "right"
     return None
 
 
-def hs_positivity(op: ElementaryOperator, tol: float = DEFAULT_TOL) -> HsPositivityReport:
+def hs_positivity(op: ElementaryOperator) -> HsPositivityReport:
     """Certify positivity of the vectorized operator on the trace inner product.
 
     With all coefficients PSD the superoperator matrix is Hermitian PSD, so
     the spectrum is contained in [0, inf); non-PSD coefficients typically
-    yield kind ``"neither"`` with diagnostics.
+    yield kind ``"neither"`` with diagnostics.  Every verdict in the report
+    is issued at the relative tolerance :data:`~opsum.core.DEFAULT_TOL`.
 
     The certificate is :func:`opsum.core.positivity_certificate` of M, built
     from the operator's cached M, ||M|| and eigenvalues, which
@@ -252,12 +253,12 @@ def hs_positivity(op: ElementaryOperator, tol: float = DEFAULT_TOL) -> HsPositiv
     certificate's ``subject`` is the operator's read-only M, and an ``eigh``
     witness its read-only eigenvector matrix.
     """
-    cert = _certificate(op._matrix, tol, None, op._norm, op._eigenvalues, op._eigh)
+    cert = _certificate(op._matrix, DEFAULT_TOL, None, op._norm, op._eigenvalues, op._eigh)
     return HsPositivityReport(
         certificate=cert,
-        spectrum=_spectrum_report(cert.eigenvalues, cert.scale, tol),
-        coefficients_psd=op.coefficients_psd(tol),
-        commuting_side=_commuting_side(op, tol),
+        spectrum=_spectrum_report(cert.eigenvalues, cert.scale, DEFAULT_TOL),
+        coefficients_psd=op.coefficients_psd(),
+        commuting_side=_commuting_side(op),
     )
 
 
@@ -278,7 +279,11 @@ class LudersEigenvalueDemo:
     eigen_residual: float
 
 
-def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDemo:
+#: Relative tolerance of the product-sum check in :func:`plant_luders_eigenvalue`.
+PLANT_TOL = 1e-8
+
+
+def plant_luders_eigenvalue(lam, pairs) -> LudersEigenvalueDemo:
     """Build a Lüders operation with the prescribed eigenvalue ``lam``.
 
     Parameters
@@ -289,7 +294,7 @@ def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDe
         raised error carries that exact bound.
     pairs : list of (A_j, B_j)
         PSD matrices of a common size k with ||sum A_j B_j - lam I||_F
-        within ``tol * max(1, |lam|)``.
+        within 1e-8 max(1, |lam|) (:data:`PLANT_TOL`).
 
     Raises
     ------
@@ -320,10 +325,10 @@ def plant_luders_eigenvalue(lam, pairs, tol: float = 1e-8) -> LudersEigenvalueDe
             raise ValueError(f"pair {i} is not PSD at the default tolerance")
         total += A @ B
     gap = frob(total - lam * np.eye(k))
-    if gap > tol * max(1.0, abs(lam)):
+    allowed = PLANT_TOL * max(1.0, abs(lam))
+    if gap > allowed:
         raise ValueError(
-            f"sum of products misses lam * I by {gap:.3e} "
-            f"(allowed {tol * max(1.0, abs(lam)):.3e})")
+            f"sum of products misses lam * I by {gap:.3e} (allowed {allowed:.3e})")
 
     blocks = tuple(
         np.block([[A, np.zeros((k, k))], [np.zeros((k, k)), B]])

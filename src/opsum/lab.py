@@ -62,9 +62,6 @@ def residual_lower_bound(lam) -> float:
 
 #: Projected gradient steps per block solve.
 _INNER_STEPS = 12
-#: Fractions of the step toward a block candidate tried in turn; the first
-#: that does not increase the residual is taken.
-_STEP_FRACTIONS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 #: A restart stops after this many iterations in a row that each improve the
 #: residual by less than _STALL_RTOL * max(1, residual).
 _STALL_ITERATIONS = 60
@@ -126,34 +123,34 @@ def _scalar_target(T: np.ndarray) -> complex | None:
     return None
 
 
-def _block_solve(start: np.ndarray, fixed: np.ndarray, R: np.ndarray,
-                 side: str) -> np.ndarray:
-    """Approximately minimize the convex block problem over the PSD cone.
+def _block_solve(start: np.ndarray, fixed: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Approximately minimize ||X @ fixed - R||_F over PSD X, from ``start``.
 
-    For side "A" this is min_{X psd} ||X @ fixed - R||_F (and the mirrored
-    problem for side "B").  Each iteration takes the least-squares gradient
-    step at the Lipschitz step size and projects back onto the cone by
-    eigenvalue clipping; warm-started from the current factor, so the block
-    objective (which equals the global residual) never increases.
+    Takes :data:`_INNER_STEPS` least-squares gradient steps at the step size
+    1/L, L = ||fixed||_2^2 the Lipschitz constant of the gradient, each
+    projected back onto the cone by eigenvalue clipping.  The objective is
+    convex and L-smooth, so such a step never increases it (the
+    sufficient-decrease lemma; Beck, "First-Order Methods in Optimization",
+    2017, ch. 10): from a PSD start the result is no worse, up to rounding.
+    The problem min ||F X - R||_F of a right factor X is this one on
+    adjoints, ||X F* - R*||_F, since X is Hermitian.
     """
     X = start
     L = max(np.linalg.norm(fixed, 2) ** 2, 1e-300)
-    if side == "A":
-        for _ in range(_INNER_STEPS):
-            X = psd_project(X - ((X @ fixed - R) @ fixed.conj().T) / L)
-    else:
-        for _ in range(_INNER_STEPS):
-            X = psd_project(X - (fixed.conj().T @ (fixed @ X - R)) / L)
+    for _ in range(_INNER_STEPS):
+        X = psd_project(X - ((X @ fixed - R) @ fixed.conj().T) / L)
     return X
 
 
 def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace:
     """Minimize || sum_j A_j B_j - T ||_F over PSD factors by alternating steps.
 
-    Each factor is updated by an unconstrained least-squares solve followed
-    by projection onto the PSD cone; a step is taken only if the residual
-    does not increase.  Multiple seeded restarts; the best factors are
-    returned.  Non-convergence is an outcome, not an error.
+    Each sweep updates A_1, B_1, ..., A_m, B_m in turn: the factor's convex
+    block problem, with every other factor fixed, is solved approximately
+    by :func:`_block_solve` (B_j's on adjoints), and the candidate is taken
+    when the residual does not grow, else the factor is kept.  Multiple
+    seeded restarts; the best factors are returned.  Non-convergence is an
+    outcome, not an error.
     """
     T = as_square_matrix(T)
     rng = np.random.default_rng(config.seed)
@@ -174,36 +171,33 @@ def optimize_sum_of_products(T, config: OptimizationConfig) -> OptimizationTrace
         else:
             A = [random_psd(rng, T.shape[0], (0.2, 1.5)) * init_scale for _ in range(config.m)]
             B = [random_psd(rng, T.shape[0], (0.2, 1.5)) * init_scale for _ in range(config.m)]
+        factors = [list(pair) for pair in zip(A, B)]
 
-        products = [A[j] @ B[j] for j in range(config.m)]
+        products = [a @ b for a, b in factors]
         total = sum(products)
         cur = frob(total - T)
         since_improve = 0
         stop_reason = "budget"
         for _ in range(config.max_iterations):
             prev = cur
-            for j in range(config.m):
-                for side in ("A", "B"):
+            for j, pair in enumerate(factors):
+                for side in (0, 1):
                     R = T - (total - products[j])
-                    old = A[j] if side == "A" else B[j]
-                    fixed = B[j] if side == "A" else A[j]
-                    cand = _block_solve(old, fixed, R, side)
-                    for t in _STEP_FRACTIONS:
-                        trial = old + t * (cand - old)   # PSD cone is convex
-                        new_prod = (trial @ fixed) if side == "A" else (fixed @ trial)
-                        new_resid = frob(total - products[j] + new_prod - T)
-                        if new_resid <= cur:
-                            total = total - products[j] + new_prod
-                            products[j] = new_prod
-                            if side == "A":
-                                A[j] = trial
-                            else:
-                                B[j] = trial
-                            cur = new_resid
-                            break
+                    old = pair[side]
+                    # B_j's problem min ||A_j X - R|| is A_j's on adjoints,
+                    # ||X A_j - R*||, as X and A_j are Hermitian
+                    pair[side] = _block_solve(old, pair[1 - side], R.conj().T if side else R)
+                    new_prod = pair[0] @ pair[1]
+                    new_resid = frob(total - products[j] + new_prod - T)
+                    if new_resid <= cur:
+                        total = total - products[j] + new_prod
+                        products[j] = new_prod
+                        cur = new_resid
+                    else:   # only rounding can make the full step grow the residual
+                        pair[side] = old
             if cur < best_resid:
                 best_resid = cur
-                best_factors = [(A[j].copy(), B[j].copy()) for j in range(config.m)]
+                best_factors = [(a.copy(), b.copy()) for a, b in factors]
             history.append(best_resid)
             if len(history) >= 2 and not history[-1] <= history[-2]:
                 raise RuntimeError("residual history must be non-increasing")

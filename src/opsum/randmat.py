@@ -82,13 +82,13 @@ def planted_summand_sum(rng: np.random.Generator, n: int, m: int):
 
 
 def scalar_product_pairs(lam: float, k: int, m: int = 3,
-                         rng: np.random.Generator | None = None,
-                         cond: float = 3.0):
+                         rng: np.random.Generator | None = None):
     """PSD pairs (A_j, B_j) of size k with sum of products exactly lam * I.
 
     Splits lam into positive parts lam_j and builds each pair from a Gram
     factorization, A_j = S S* and B_j = lam_j (S^-1)* S^-1, whose product is
-    lam_j * I for any invertible S.  With ``rng`` None all S are identity.
+    lam_j * I for any invertible S.  With ``rng`` None all S are identity,
+    otherwise random with condition number at most 3.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -96,7 +96,7 @@ def scalar_product_pairs(lam: float, k: int, m: int = 3,
     weights /= weights.sum()
     pairs = []
     for w in weights:
-        S = np.eye(k, dtype=complex) if rng is None else random_invertible(rng, k, cond)
+        S = np.eye(k, dtype=complex) if rng is None else random_invertible(rng, k, cond=3.0)
         Sinv = np.linalg.inv(S)
         A = S @ S.conj().T
         B = (lam * w) * (Sinv.conj().T @ Sinv)

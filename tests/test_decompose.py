@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opsum.decompose
-from opsum.core import frob, is_psd, is_similar_to_positive, op_norm, positivity_certificate
+import opsum.lab
+from opsum.core import eig, frob, is_psd, is_similar_to_positive, op_norm, positivity_certificate
 from opsum.decompose import (
     DecompConfig,
     DeclinedError,
@@ -24,13 +25,15 @@ from opsum.decompose import (
     verify_decomposition,
 )
 from opsum.core import ShapeError
-from opsum.lab import OptimizationConfig
+from opsum.elementary import ElementaryOperator, hs_positivity, plant_luders_eigenvalue
+from opsum.lab import OptimizationConfig, _block_solve
 from opsum.randmat import (
     planted_summand_sum,
     random_complex,
     random_invertible,
     random_psd,
     random_real_trace,
+    scalar_product_pairs,
 )
 
 
@@ -174,6 +177,31 @@ def test_four_summand_params_removed():
         four_summands(T, None)
     with pytest.raises(TypeError):
         sum_of_products(T, 4, None, None)
+
+
+_I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: eig(_I2, tol=1e-9), "tol"),
+    (lambda: check_obstruction(_I2, tol=1e-9), "tol"),
+    (lambda: ElementaryOperator.build([(_I2, _I2)], tol=1e-9), "tol"),
+    (lambda: ElementaryOperator.build([(_I2, _I2)]).coefficients_psd(tol=1e-9), "tol"),
+    (lambda: hs_positivity(ElementaryOperator.build([(_I2, _I2)]), tol=1e-9), "tol"),
+    (lambda: plant_luders_eigenvalue(1.0, [(_I2, _I2)], tol=1e-8), "tol"),
+    (lambda: scalar_product_pairs(1.0, 2, 3, None, cond=3.0), "cond"),
+    (lambda: _block_solve(_I2, _I2, _I2, "A"), "positional"),
+], ids=["eig", "check_obstruction", "build", "coefficients_psd", "hs_positivity",
+        "plant_luders_eigenvalue", "scalar_product_pairs", "block_solve_side"])
+def test_retired_parameters_rejected(call, name):
+    with pytest.raises(TypeError, match=name):
+        call()
+
+
+def test_retired_tolerance_field_and_step_fractions():
+    fields = dataclasses.fields(ElementaryOperator)
+    assert [f.name for f in fields] == ["pairs", "dim", "is_luders"]
+    assert not hasattr(opsum.lab, "_STEP_FRACTIONS")
 
 
 def test_four_summands_small_scalar_target():
@@ -421,6 +449,28 @@ def test_four_summands_factors_no_similarity(monkeypatch):
     T = random_real_trace(np.random.default_rng([16, 1]), 16, 16.0)
     result = four_summands(T)
     assert calls == []
+    assert verify_decomposition(T, result, tol=1e-6).passed
+
+
+@pytest.mark.parametrize("split, T", [
+    (four_summands, np.zeros((4, 4))),
+    (three_summands, np.zeros((4, 4))),
+    (two_summands, np.zeros((4, 4))),
+    (three_summands, np.eye(4)),
+])
+def test_equal_summands_built_once(monkeypatch, split, T):
+    # the zero target and the equal split of a PSD target repeat one summand,
+    # so S is inverted once, not once per summand
+    calls = []
+    original = np.linalg.inv
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    result = split(T)
+    assert len({id(s) for s in result.summands}) == 1
+    assert len(calls) == 1
     assert verify_decomposition(T, result, tol=1e-6).passed
 
 

@@ -1,4 +1,4 @@
-"""Smoke test: every demo runs to completion.
+"""Smoke test: every demo, and README's library quickstart, runs to completion.
 
 Each demo runs in a fresh temporary directory, so the CSV files that
 ``conditioning_study.py`` and ``pseudospectrum_scan.py`` write stay out of
@@ -24,3 +24,12 @@ def test_demo_runs(script, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "four_summands" in block
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})

@@ -3,17 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opsum.core import frob, hermitian_part
+from opsum.core import frob, hermitian_part, is_psd
 from opsum.lab import (
     ExperimentRecord,
     OptimizationConfig,
+    _block_solve,
     condition_study,
     optimize_sum_of_products,
     psd_project,
     residual_lower_bound,
     study_to_csv,
 )
-from opsum.randmat import planted_product_sum, random_complex
+from opsum.randmat import planted_product_sum, random_complex, random_psd
 
 
 def test_psd_project_properties(rng):
@@ -36,6 +37,30 @@ def test_residual_lower_bound_values():
     assert residual_lower_bound(1j) == 1.0
     assert residual_lower_bound(2.0) == 0.0
     assert residual_lower_bound(-1 + 1j) == pytest.approx(np.sqrt(2.0))
+
+
+def _fixed_factor(rng, n, kind):
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "rank-deficient":   # rank n // 2
+        return random_complex(rng, n, n // 2) @ random_complex(rng, n // 2, n)
+    return random_complex(rng, n)
+
+
+@pytest.mark.parametrize("kind", ["generic", "zero", "rank-deficient"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_solve_never_increases_the_block_residual(n, kind):
+    # a projected gradient step at 1/L never increases a convex L-smooth
+    # objective, so the optimizer needs no backtracking
+    rng = np.random.default_rng(n)
+    for trial in range(10):
+        fixed = _fixed_factor(rng, n, kind)
+        R = random_complex(rng, n)
+        start = random_psd(rng, n, (0.0, 2.0)) if trial % 3 else np.zeros((n, n), dtype=complex)
+        X = _block_solve(start, fixed, R)
+        assert np.array_equal(X, X.conj().T)
+        assert is_psd(X)
+        assert frob(X @ fixed - R) <= frob(start @ fixed - R) * (1 + 1e-12)
 
 
 def test_optimize_identity_single_product():
