@@ -17,11 +17,11 @@ from functools import cache
 import numpy as np
 
 from . import serialize
-from .core import positivity_certificate
 from .decompose import (
     DeclinedError,
     DecompositionResult,
     ObstructionCertificate,
+    _summand_kind,
     four_summands,
     three_summands,
     two_summands,
@@ -123,10 +123,10 @@ def _certificate_dict(cert: ObstructionCertificate) -> dict:
 def _result_dict(result: DecompositionResult) -> dict:
     certificates = []
     for s in result.summands:
-        c = positivity_certificate(s.value, tol=1e-8, witness=s.candidate_witness())
+        kind, min_eig = _summand_kind(s)
         certificates.append({
-            "kind": c.kind,
-            "min_eigenvalue": float(c.min_eigenvalue),
+            "kind": kind,
+            "min_eigenvalue": min_eig,
             "condition_number": float(s.condition_number),
         })
     return {

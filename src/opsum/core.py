@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "DEFAULT_TOL",
@@ -47,11 +46,6 @@ DEFAULT_TOL = 1e-9
 #: Eigenvector-matrix condition number above which a matrix is treated as
 #: numerically non-diagonalizable.
 DEFAULT_COND_CAP = 1e8
-
-#: Relative residual, per unit of cond(V), up to which a candidate witness V
-#: counts as diagonalizing a matrix: rounding level (1e4 eps).  A basis that
-#: truly diagonalizes stays below it; a basis that merely comes close does not.
-_WITNESS_ROUNDING = 1e4 * np.finfo(float).eps
 
 
 class ShapeError(ValueError):
@@ -179,6 +173,8 @@ def matching_distance(w1, w2) -> float:
     for all spectrum comparisons, so each one is at least as strict as the
     bottleneck distance would make it.
     """
+    from scipy.optimize import linear_sum_assignment   # 0.3 s to import; no pipeline calls this
+
     a = np.asarray(w1, dtype=complex).ravel()
     b = np.asarray(w2, dtype=complex).ravel()
     if a.shape != b.shape:
@@ -303,23 +299,19 @@ class PsdCertificate:
     or ``"neither"``.  For the similarity kinds, ``witness`` holds an
     invertible V with V^-1 @ subject @ V diagonal, real and nonnegative
     (within tolerance): the eigenvectors of the Hermitian part for the PSD
-    kind; for ``"similar-to-positive"`` either the caller's candidate with
-    its columns scaled to unit norm or the eigenvector matrix from ``eig``.
+    kind, the eigenvector matrix from ``eig`` for ``"similar-to-positive"``.
     ``witness_residual`` is the verified reconstruction error
     ``||V D V^-1 - subject||`` and ``witness_condition`` is cond(V).  For
     the PSD kind, with D = max(d, 0) on the eigenvalues d of the Hermitian
-    part, and for an accepted candidate the residual is the Frobenius norm,
-    an upper bound on the operator norm; a candidate's close calls to its
-    threshold take the operator norm.
+    part, the residual is the Frobenius norm, an upper bound on the
+    operator norm.
     ``min_eigenvalue`` always refers to the Hermitian part,
     ``diagonalizability_gap`` is the smallest distance between two distinct
     entries of ``eigenvalues`` (a conditioning diagnostic, inf for 1x1).
     ``tolerance`` is the relative tolerance the verdict was issued at and
     ``scale`` the operator norm ``||subject||`` it was scaled by: spectral
     distances are compared with ``tolerance * max(1, scale)``.
-    ``eigenvalues`` holds the subject's eigenvalues sorted by (Re, Im); when
-    a candidate witness is accepted they are its sorted diagonal
-    d = Re diag(V^-1 @ subject @ V), and neither ``eig`` nor ``eigvals`` runs.
+    ``eigenvalues`` holds the subject's eigenvalues sorted by (Re, Im).
     """
 
     subject: np.ndarray
@@ -348,7 +340,7 @@ def _pairwise_gap(w: np.ndarray) -> float:
     return float(diff.min())
 
 
-def positivity_certificate(M, tol: float = DEFAULT_TOL, *, witness=None) -> PsdCertificate:
+def positivity_certificate(M, tol: float = DEFAULT_TOL) -> PsdCertificate:
     """Classify a matrix as PSD, similar to a positive matrix, or neither.
 
     A square matrix is similar to a positive semidefinite one exactly when it
@@ -361,29 +353,21 @@ def positivity_certificate(M, tol: float = DEFAULT_TOL, *, witness=None) -> PsdC
     cond(V) is not achievable in floating point near the cap.  The
     certificate records ``tol`` as ``tolerance`` and ``||M||`` as ``scale``.
 
-    ``witness`` is an optional candidate basis, such as S W for a summand
-    S P S^-1 with P = W diag(p) W*.  Its columns are scaled to unit norm
-    (which leaves V^-1 M V diagonal and can lower cond(V) by orders of
-    magnitude), and it is accepted when cond(V) is within the cap, every
-    d = Re diag(V^-1 M V) is at least ``-tol * max(1, ||M||)`` and
-    ``V diag(d) V^-1`` reconstructs ``M`` at rounding level,
-    ``min(tol, 1e4 eps) * cond(V) * max(1, ||M||)``; then neither ``eig``
-    nor ``eigvals`` runs on ``M``.  The stricter bound keeps a basis that
-    only nearly diagonalizes ``M`` (a Jordan block's, say) from passing.
-    Otherwise, or when the candidate is rejected, ``numpy.linalg.eigvals``
-    decides the spectrum condition, and only when it lies in [0, inf) is the
-    eigenvector matrix from ``numpy.linalg.eig`` tried.  A basis above the
-    cap makes the matrix count as non-diagonalizable, reported as
-    ``"neither"`` with a diagnostic string.
+    ``numpy.linalg.eigvals`` decides the spectrum condition, and only when
+    it lies in [0, inf) is the eigenvector matrix from ``numpy.linalg.eig``
+    tried.  A basis above the cap makes the matrix count as
+    non-diagonalizable, reported as ``"neither"`` with a diagnostic string.
     """
     A = as_square_matrix(M)
-    return _certificate(A, tol, witness, op_norm(A))
+    return _certificate(A, tol, op_norm(A))[0]
 
 
-def _certificate(A: np.ndarray, tol: float, witness, scale: float,
+def _certificate(A: np.ndarray, tol: float, scale: float,
                  eigenvalues: np.ndarray | None = None,
-                 eigh: tuple[np.ndarray, np.ndarray] | None = None) -> PsdCertificate:
-    """:func:`positivity_certificate` of a validated ``A`` with ``scale = ||A||``.
+                 eigh: tuple[np.ndarray, np.ndarray] | None = None,
+                 ) -> tuple[PsdCertificate, np.ndarray | None]:
+    """:func:`positivity_certificate` of a validated ``A`` with ``scale = ||A||``,
+    and the inverse of its witness when the ``eig`` path formed one (else None).
 
     A caller that has factored ``A`` passes what it knows: ``eigenvalues``,
     the spectrum of ``A``, stands in for ``eigvals``; ``eigh``, the pair
@@ -399,73 +383,38 @@ def _certificate(A: np.ndarray, tol: float, witness, scale: float,
     issue = partial(PsdCertificate, subject=A, min_eigenvalue=min_eig,
                     tolerance=tol, scale=scale)
 
-    def spectrum(w):
-        w = sorted_eigenvalues(w)
-        return {"eigenvalues": w, "diagonalizability_gap": _pairwise_gap(w)}
+    w = np.linalg.eigvals(A) if eigenvalues is None else eigenvalues
+    w = sorted_eigenvalues(w)
+    fields = {"eigenvalues": w, "diagonalizability_gap": _pairwise_gap(w)}
 
     if _psd_test(A, tol, scale, min_eig):
         d, V = np.linalg.eigh(hermitian_part(A)) if eigh is None else eigh
         resid = frob((V * np.maximum(d, 0.0)) @ V.conj().T - A)
-        return issue(kind="positive-semidefinite", witness=V,
-                     witness_condition=1.0, witness_residual=resid,
-                     **spectrum(np.linalg.eigvals(A) if eigenvalues is None else eigenvalues))
+        return issue(kind="positive-semidefinite", witness=V, witness_condition=1.0,
+                     witness_residual=resid, **fields), None
 
-    rejected = ""
-    if witness is not None:
-        V = as_square_matrix(witness, "witness")
-        if V.shape != A.shape:
-            raise ShapeError(f"witness shape {V.shape} does not match {A.shape}")
-        norms = np.linalg.norm(V, axis=0)
-        V = V / np.where(norms > 0.0, norms, 1.0)
-        cond = _condition(V)
-        if cond > DEFAULT_COND_CAP:
-            rejected = f"condition number {cond:.3e} above {DEFAULT_COND_CAP:.1e}"
-        else:
-            Vinv = np.linalg.inv(V)
-            d = np.real(np.einsum("ij,ji->i", Vinv @ A, V))
-            allowed = min(tol, _WITNESS_ROUNDING) * max(1.0, cond) * max(1.0, scale)
-            R = (V * d) @ Vinv - A
-            resid = frob(R)   # an upper bound on ||R||; close calls take the SVD
-            if resid * (1.0 + _SCREEN_MARGIN) > allowed:
-                resid = op_norm(R)
-            if d.min() < -tol_abs:
-                rejected = f"diagonal entry {d.min():.3e} below {-tol_abs:.3e}"
-            elif resid > allowed:
-                rejected = f"reconstruction residual {resid:.3e} exceeds {allowed:.3e}"
-            else:
-                return issue(kind="similar-to-positive", witness=V, witness_condition=cond,
-                             witness_residual=float(resid), **spectrum(d))
-        rejected = f"candidate witness rejected: {rejected}; "
-
-    w = np.linalg.eigvals(A) if eigenvalues is None else eigenvalues
-    fields = spectrum(w)
     neither = partial(issue, kind="neither", witness=None, **fields)
     maxdist = float(np.max(dist_to_rplus(w)))
     if maxdist > tol_abs:
-        return neither(diagnostics=f"{rejected}spectrum leaves [0, inf): max distance "
-                                   f"{maxdist:.3e} exceeds {tol_abs:.3e}")
+        return neither(diagnostics=f"spectrum leaves [0, inf): max distance "
+                                   f"{maxdist:.3e} exceeds {tol_abs:.3e}"), None
 
     we, V = np.linalg.eig(A) if eigh is None else eigh
-    cond = _condition(V)
+    cond = float(np.linalg.cond(V))   # inf for a singular V
     if cond > DEFAULT_COND_CAP:
-        return neither(diagnostics=f"{rejected}no eigenvector basis with condition number "
+        return neither(diagnostics=f"no eigenvector basis with condition number "
                                    f"below {DEFAULT_COND_CAP:.1e}; treating as non-diagonalizable "
                                    f"(closest eigenvalue pair "
-                                   f"{fields['diagonalizability_gap']:.3e} apart)")
+                                   f"{fields['diagonalizability_gap']:.3e} apart)"), None
 
-    resid = op_norm(V @ np.diag(we.real) @ np.linalg.inv(V) - A)
+    V_inv = np.linalg.inv(V)
+    resid = op_norm(V @ np.diag(we.real) @ V_inv - A)
     allowed = tol * max(1.0, cond) * max(1.0, scale)
     if resid > allowed:
-        return neither(diagnostics=f"{rejected}witness reconstruction residual {resid:.3e} "
-                                   f"exceeds {allowed:.3e}")
+        return neither(diagnostics=f"witness reconstruction residual {resid:.3e} "
+                                   f"exceeds {allowed:.3e}"), None
     return issue(kind="similar-to-positive", witness=V, witness_condition=cond,
-                 witness_residual=float(resid), diagnostics=rejected.removesuffix("; "), **fields)
-
-
-def _condition(V: np.ndarray) -> float:
-    """cond(V) in the 2-norm, inf for a singular V."""
-    sv = np.linalg.svd(V, compute_uv=False)
-    return float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+                 witness_residual=float(resid), **fields), V_inv
 
 
 def hs_inner(X, Y) -> complex:

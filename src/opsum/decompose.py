@@ -51,9 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _SCREEN_MARGIN,
     DEFAULT_COND_CAP,
     DEFAULT_TOL,
     ShapeError,
+    _certificate,
+    _psd_test,
     as_square_matrix,
     frob,
     hermitian_part,
@@ -109,19 +112,6 @@ class SimilaritySummand:
     value: np.ndarray
     condition_number: float
     S_inv: np.ndarray
-
-    def candidate_witness(self) -> np.ndarray:
-        """S W with P = W diag(p) W* from ``eigh``: a basis that diagonalizes
-        S P S^-1 when P is Hermitian, for :func:`positivity_certificate`.
-
-        For a diagonal P, W = I serves, so the candidate is a copy of S and
-        no eigensolve runs.  The certificate reads no meaning into the order
-        of the columns.
-        """
-        p = np.diagonal(self.P)
-        if np.count_nonzero(self.P) == np.count_nonzero(p):
-            return self.S.copy()
-        return self.S @ np.linalg.eigh(self.P)[1]
 
 
 def make_summand(S, P) -> SimilaritySummand:
@@ -209,9 +199,20 @@ def _distinct_points(values, resolution) -> int:
     return len(pts)
 
 
-def _summand_statistics(spectra, scale) -> tuple[tuple, float]:
-    """Distinct spectrum sizes per summand and the min cross-summand gap."""
-    res = 1e-7 * max(1.0, scale)
+def _summand_statistics(spectra, T) -> tuple[tuple, float]:
+    """Distinct spectrum sizes per summand and the min cross-summand gap.
+
+    Points within 1e-7 max(1, ||T||_2) count as one; ||T||_2, in
+    [||T||_F / sqrt(n), ||T||_F], takes an SVD only when two points of one
+    spectrum lie at a distance in the range this leaves."""
+    F = frob(T)
+    lo, res = 1e-7 * max(1.0, F / math.sqrt(T.shape[0])), 1e-7 * max(1.0, F)
+    for w in spectra:
+        u = np.unique(w)
+        d = np.abs(u[:, None] - u)
+        if np.any((d >= lo * (1.0 - _SCREEN_MARGIN)) & (d <= res * (1.0 + _SCREEN_MARGIN))):
+            res = 1e-7 * max(1.0, op_norm(T))
+            break
     counts = tuple(_distinct_points(w, res) for w in spectra)
     gap = math.inf
     for i in range(len(spectra)):
@@ -267,7 +268,7 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
     summands = tuple(summands)
     residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
     counts, gap = _summand_statistics(
-        [np.sort(np.diagonal(s.P).real) for s in summands], op_norm(T))
+        [np.sort(np.diagonal(s.P).real) for s in summands], T)
     return DecompositionResult(
         summands=summands, reconstruction_residual=float(residual),
         spectra_point_counts=counts, pairwise_spectra_gap=gap,
@@ -421,18 +422,19 @@ def _shortcut(A, m: int):
     Trace obstructions and the zero target come first.  A target similar to
     positive, V^-1 A V = diag(d), splits inside the witness basis V: into
     (d - min d) + min d for m = 2, into m equal parts (one summand,
-    repeated) otherwise; V is inverted once.
+    repeated) otherwise; V is inverted once, by the certificate when its
+    ``eig`` path checked V.
     """
     cert = check_obstruction(A)
     if cert is not None:
         return cert
     if not A.any():
         return _zero_result(A.shape[0], m, "shortcut")
-    pc = positivity_certificate(A)
+    pc, V_inv = _certificate(A, DEFAULT_TOL, op_norm(A))
     if not is_similar_to_positive(pc):
         return None
     V = pc.witness
-    V_inv = np.linalg.inv(V)
+    V_inv = np.linalg.inv(V) if V_inv is None else V_inv
     d = np.maximum(np.real(V_inv @ A @ V).diagonal(), 0.0)
     if m == 2:
         middles = (d - d.min(), np.full_like(d, d.min()))
@@ -566,6 +568,96 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
+@dataclass(frozen=True)
+class _SummandCertificate:
+    """Verify's verdict on a summand S P S^-1 (see :func:`_certify`)."""
+
+    value: np.ndarray      # S P S^-1: (S P) S_inv when certified, else from ``solve``
+    kind: str              # a PsdCertificate kind, "similar-to-positive" when certified
+    spectrum: np.ndarray   # the sorted spectrum of value
+    cond_bounds: tuple     # lo <= cond_2(S) <= hi
+    psd: bool              # is_psd(P)
+    failure: str = ""      # why the inverse certificate does not cover the summand
+    diagnostics: str = ""  # the fallback's, when it runs
+
+
+def _certify(s: SimilaritySummand) -> _SummandCertificate:
+    """Certify S P S^-1 similar to positive from the summand's own S^-1.
+
+    With S scaled to unit columns, V = S D^-1 and V_inv = D S_inv, one
+    product gives E = V_inv V - I.  S_inv is used only when ||E||_F is
+    within that product's rounding bound rho = 8 (n + 1) eps sqrt(n)
+    ||V_inv||_F (over four times Higham's complex-product constant) and
+    rho < 1/2: S_inv is then S^-1 to working precision, and
+    e = ||E||_F + rho < 1 proves S invertible (Neumann series; Rump, Acta
+    Numerica 2010).  An exactly Hermitian PSD P then makes S P S^-1 similar
+    to positive with the spectrum of P, and r = ||V_inv||_F e / ((1 - e)
+    min D) >= ||S^-1 - S_inv||_2 bounds cond(S) by norms.  The cap
+    :data:`~opsum.core.DEFAULT_COND_CAP` applies to the diagonalizing basis
+    with unit columns: V for a diagonal P, with an SVD only when
+    cond(V) <= sqrt(n) ||V_inv||_F / (1 - e) does not clear it, else S W
+    with P = W diag(p) W*.  An uncovered summand takes its value from
+    ``solve`` and its kind from :func:`~opsum.core.positivity_certificate`
+    ("neither" for an exactly singular S).
+    """
+    S, P, S_inv = s.S, s.P, s.S_inv
+    n = S.shape[0]
+    norms = np.linalg.norm(S, axis=0)
+    norms = np.where(norms > 0.0, norms, 1.0)   # a zero column leaves E = -I there
+    V_inv_frob = frob(norms[:, None] * S_inv)
+    E = S_inv @ S
+    E.flat[::n + 1] -= 1.0
+    resid = frob(norms[:, None] * E / norms)
+    rho = 8.0 * (n + 1) * np.finfo(float).eps * math.sqrt(n) * V_inv_frob
+    p = np.diagonal(P)
+    diagonal = np.count_nonzero(P) == np.count_nonzero(p)
+    SP = S * p if diagonal else S @ P
+    psd = is_psd(P)
+    cond_bounds, failure = (1.0, math.inf), ""
+    if not resid <= rho < 0.5:   # nan included
+        failure = (f"S_inv is not S^-1 to working precision: ||S_inv S - I||_F = "
+                   f"{resid:.3e}, rounding bound {rho:.3e}")
+    else:
+        e = resid + rho
+        r = V_inv_frob * e / ((1.0 - e) * norms.min())
+        lo = norms.max() * (np.linalg.norm(S_inv, axis=1).max() - r)
+        cond_bounds = (max(1.0, lo), frob(S) * (frob(S_inv) + r))
+        if not (psd and np.array_equal(P, P.conj().T)):
+            failure = "P is not Hermitian PSD"
+        else:
+            if diagonal:
+                spectrum, V = np.sort(p.real), S
+                hi = math.sqrt(n) * V_inv_frob / (1.0 - e)
+                cleared = hi <= DEFAULT_COND_CAP * (
+                    1.0 - _SCREEN_MARGIN - n * np.finfo(float).eps * hi)
+            else:
+                spectrum, W = np.linalg.eigh(P)
+                V, cleared = S @ W, False
+            cond = 1.0 if cleared else float(np.linalg.cond(V / np.linalg.norm(V, axis=0)))
+            if cond <= DEFAULT_COND_CAP:
+                return _SummandCertificate(SP @ S_inv, "similar-to-positive", spectrum,
+                                           cond_bounds, psd)
+            failure = (f"condition number {cond:.3e} of the diagonalizing basis with unit "
+                       f"columns above {DEFAULT_COND_CAP:.1e}")
+    try:
+        v, singular = np.linalg.solve(S.T, SP.T).T, ""
+    except np.linalg.LinAlgError:
+        v, singular = SP @ S_inv, "S is singular; "
+    cert = positivity_certificate(v, tol=1e-8)
+    return _SummandCertificate(v, "neither" if singular else cert.kind, cert.eigenvalues,
+                               cond_bounds, psd, failure, singular + cert.diagnostics)
+
+
+def _summand_kind(s: SimilaritySummand) -> tuple[str, float]:
+    """The kind and min_eigenvalue ``positivity_certificate(s.value, tol=1e-8)``
+    reports, with the similarity verdict of :func:`_certify` in place of its
+    ``eig``."""
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(s.value))[0])
+    if _psd_test(s.value, 1e-8, None, min_eig):
+        return "positive-semidefinite", min_eig
+    return _certify(s).kind, min_eig
+
+
 def verify_decomposition(
     T,
     result: DecompositionResult,
@@ -575,74 +667,70 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Recompute every claim of a decomposition from scratch.
 
-    Nothing cached in the result is trusted: summand values are rebuilt from
-    (S, P), the reconstruction residual is recomputed, each middle block is
-    re-tested for positive semidefiniteness, each summand value is
-    re-certified similar to positive (the candidate witness S W, with W from
-    ``eigh(P)`` or S itself for a diagonal P, is checked against the
-    recomputed value, and ``eig`` runs only when it fails), and the product
-    form is re-multiplied.
-    Optional spectrum-count and gap thresholds cover the four-summand
-    contract.  Failures are report entries, not exceptions.
+    Nothing cached in the result is trusted.  Each summand is certified
+    from its own S^-1 with matrix products (:func:`_certify`), which uses
+    S_inv only once S_inv S - I shows it is S^-1 to working precision, and
+    its value recomputed as (S P) S_inv; one the certificate does not cover
+    takes its value from ``solve`` and its verdict from
+    :func:`~opsum.core.positivity_certificate`.  The reconstruction is
+    recomputed, each middle block re-tested for positive semidefiniteness
+    and the product form re-multiplied, its cond(S)-aware allowance decided
+    from norm bounds on cond(S) unless they leave it open.  A four-summand
+    result thus takes no SVD or eigensolve.  Optional spectrum-count and gap
+    thresholds cover the four-summand contract.  Failures are report
+    entries, not exceptions.
     """
     A = as_square_matrix(T)
-    scale = max(1.0, frob(A))
-    checks = []
+    certificates = [_certify(s) for s in result.summands]
+    values = [c.value for c in certificates]
+    failed = "".join(f"summand {i}: {c.kind} (no inverse certificate: {c.failure}; "
+                     f"{c.diagnostics}); " for i, c in enumerate(certificates)
+                     if c.kind == "neither")
 
-    values = []
-    cache_dev = 0.0
-    for s in result.summands:
-        v = np.linalg.solve(s.S.T, (s.S @ s.P).T).T
-        values.append(v)
-        cache_dev = max(cache_dev, frob(v - s.value) / max(1.0, frob(v)))
-    checks.append(VerificationCheck(
+    cache_dev = max((frob(v - s.value) / max(1.0, frob(v))
+                     for s, v in zip(result.summands, values)), default=0.0)
+    checks = [VerificationCheck(
         "cached-values", cache_dev <= 1e-10, cache_dev, 1e-10,
-        "recomputed S P S^-1 against cached summand values"))
+        "recomputed S P S^-1 against cached summand values")]
 
     recon = frob(sum(values) - A) / max(frob(A), 1e-300) if values else frob(A)
     checks.append(VerificationCheck(
         "reconstruction", recon <= tol, recon, tol,
         "relative Frobenius distance between the summand total and the target"))
 
-    psd_ok, worst_min = True, 0.0
-    for s in result.summands:
-        if not is_psd(s.P, DEFAULT_TOL):
-            psd_ok = False
-            worst_min = min(worst_min,
-                            float(np.linalg.eigvalsh(hermitian_part(s.P)).min()))
+    worst_min = min([0.0] + [float(np.linalg.eigvalsh(hermitian_part(s.P)).min())
+                             for s, c in zip(result.summands, certificates) if not c.psd])
     checks.append(VerificationCheck(
-        "middle-blocks-psd", psd_ok, worst_min, 0.0,
+        "middle-blocks-psd", all(c.psd for c in certificates), worst_min, 0.0,
         "every middle block P must be PSD"))
 
-    sim_ok = True
-    worst_kind = ""
-    spectra = []
-    for i, (s, v) in enumerate(zip(result.summands, values)):
-        cert = positivity_certificate(v, tol=1e-8, witness=s.candidate_witness())
-        spectra.append(cert.eigenvalues)
-        if not is_similar_to_positive(cert):
-            sim_ok = False
-            worst_kind += f"summand {i}: {cert.kind} ({cert.diagnostics}); "
     checks.append(VerificationCheck(
-        "summands-similar-to-positive", sim_ok, 0.0 if sim_ok else 1.0, 0.0,
-        worst_kind or "all summands certified"))
+        "summands-similar-to-positive", not failed, 1.0 if failed else 0.0, 0.0,
+        failed or "all summands certified"))
 
     # forming S S* and (S^-1)* P S^-1 squares the conditioning of S, so the
-    # product residual is checked against a cond(S)^2-aware floor
+    # product residual is checked against a cond(S)^2-aware floor; the bounds
+    # on cond(S) decide it unless the residual lies between their allowances
+    def allowance(cond):
+        return max(1e-8, 100.0 * np.finfo(float).eps * cond * cond)
+
     prod_ratio = 0.0
     prod_psd = True
-    for s, (Af, Bf), v in zip(result.summands, result.product_form, values):
-        cond = float(np.linalg.cond(s.S))
-        allowed = max(1e-8, 100.0 * np.finfo(float).eps * cond * cond)
+    for s, c, (Af, Bf), v in zip(result.summands, certificates, result.product_form, values):
         dev = frob(Af @ Bf - v) / max(1.0, frob(v))
-        prod_ratio = max(prod_ratio, dev / allowed)
+        lo, hi = c.cond_bounds
+        margin = _SCREEN_MARGIN + s.S.shape[0] * np.finfo(float).eps * hi
+        cond = lo * max(0.0, 1.0 - margin)   # the least cond(S) the bounds allow
+        if allowance(cond) < dev <= allowance(hi * (1.0 + margin)):
+            cond = float(np.linalg.cond(s.S))
+        prod_ratio = max(prod_ratio, dev / allowance(cond))
         prod_psd = prod_psd and is_psd(Af, 1e-8) and is_psd(Bf, 1e-8)
     checks.append(VerificationCheck(
         "product-form", prod_ratio <= 1.0 and prod_psd, prod_ratio, 1.0,
         "A_j B_j must reproduce each summand (ratio to the cond-aware bound) "
         "with PSD factors"))
 
-    counts, gap = _summand_statistics(spectra, op_norm(A))
+    counts, gap = _summand_statistics([c.spectrum for c in certificates], A)
     if max_spectrum_points is not None:
         worst = max(counts) if counts else 0
         checks.append(VerificationCheck(

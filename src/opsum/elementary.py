@@ -253,7 +253,7 @@ def hs_positivity(op: ElementaryOperator) -> HsPositivityReport:
     certificate's ``subject`` is the operator's read-only M, and an ``eigh``
     witness its read-only eigenvector matrix.
     """
-    cert = _certificate(op._matrix, DEFAULT_TOL, None, op._norm, op._eigenvalues, op._eigh)
+    cert = _certificate(op._matrix, DEFAULT_TOL, op._norm, op._eigenvalues, op._eigh)[0]
     return HsPositivityReport(
         certificate=cert,
         spectrum=_spectrum_report(cert.eigenvalues, cert.scale, DEFAULT_TOL),

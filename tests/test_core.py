@@ -3,6 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsum import core
+from opsum.decompose import (
+    DecompositionResult,
+    SimilaritySummand,
+    _certify,
+    make_summand,
+    verify_decomposition,
+)
 from opsum.randmat import random_complex, random_invertible, random_psd, random_unitary
 
 from conftest import eigenvalues_by_companion
@@ -130,15 +137,6 @@ def test_positivity_certificate_jordan_block():
     assert cert.kind == "neither"
     assert cert.witness is None
     assert cert.diagnostics.startswith("no eigenvector basis with condition number below")
-    # V = [[1, 1], [0, t]] brings J close to I with cond(V) ~ 2 / t up to the
-    # cap; the residual ||V V^-1 - J|| = 1 is no rounding error
-    for t in (2.5e-8, 1e-6, 1e-4, 1e-2):
-        for tol in (1e-8, core.DEFAULT_TOL):
-            cert = core.positivity_certificate(J, tol, witness=np.array([[1.0, 1.0], [0.0, t]]))
-            assert cert.kind == "neither"
-            assert cert.witness is None
-            assert cert.diagnostics.startswith(
-                "candidate witness rejected: reconstruction residual")
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -349,33 +347,47 @@ def _lifted_summand(y_scale):
     return S, P, np.linalg.solve(S.T, (S @ P).T).T
 
 
+def _similarity_check(s):
+    """verify's summands-similar-to-positive check of the one-summand result
+    s, with its own value as the target."""
+    n = s.S.shape[0]
+    result = DecompositionResult(
+        summands=(s,), reconstruction_residual=0.0, spectra_point_counts=(1,),
+        pairwise_spectra_gap=np.inf, product_form=((np.eye(n), s.value),),
+        method="hand-built")
+    checks = {c.name: c for c in verify_decomposition(s.value, result).checks}
+    return checks["summands-similar-to-positive"]
+
+
 def test_certificate_accepts_summand_witness_where_eig_basis_fails():
     # eig picks an arbitrary basis of each 32-dimensional eigenspace, above
-    # the cap; the summand's own S W, scaled to unit columns, is below it
+    # the cap; the summand's own S, proven invertible by its S^-1 and below
+    # the cap with unit columns, certifies it with no eigensolve
     S, P, v = _lifted_summand(100.0)
     assert core.positivity_certificate(v, 1e-8).kind == "neither"
-    W = np.linalg.eigh(P)[1]
-    cert = core.positivity_certificate(v, 1e-8, witness=S @ W)
-    assert cert.kind == "similar-to-positive", cert.diagnostics
-    assert cert.witness_condition <= 1e8
-    assert np.allclose(np.linalg.norm(cert.witness, axis=0), 1.0)
-    assert np.array_equal(cert.eigenvalues, core.sorted_eigenvalues(cert.eigenvalues))
-    assert core.matching_distance(cert.eigenvalues, np.diagonal(P)) < 1e-6
+    s = make_summand(S, P)
+    cert = _certify(s)
+    assert cert.failure == ""
+    assert np.array_equal(cert.spectrum, np.sort(np.diagonal(P).real))
+    sim = _similarity_check(s)
+    assert sim.passed, sim.detail
 
 
 def test_certificate_witness_cannot_rescue_near_singular_similarity():
     S, P, v = _lifted_summand(1000.0)
     assert np.linalg.cond(S) > 1e10
-    W = np.linalg.eigh(P)[1]
     assert core.positivity_certificate(v, 1e-8).kind == "neither"
-    cert = core.positivity_certificate(v, 1e-8, witness=S @ W)
-    assert cert.kind == "neither"
-    assert cert.diagnostics.startswith("candidate witness rejected: condition number")
-
+    s = make_summand(S, P)
+    assert _certify(s).failure.startswith("condition number")
+    sim = _similarity_check(s)
+    assert not sim.passed
+    assert sim.detail.startswith("summand 0: neither (no inverse certificate: condition number")
 
 
 @pytest.mark.parametrize("subject", ["similar", "spectrum-off", "jordan", "psd"])
 def test_certificate_wrong_witness_changes_nothing(subject, rng):
+    # the summand S P S^-1 = M with S = I and P = M, carried with a wrong
+    # S^-1: the inverse certificate fails and verify gives M's own verdict
     n = 6
     if subject == "similar":
         V = random_invertible(rng, n, cond=50.0)
@@ -386,47 +398,56 @@ def test_certificate_wrong_witness_changes_nothing(subject, rng):
         M = np.eye(n) + np.diag(np.ones(n - 1), 1)
     else:
         M = random_psd(rng, n)
-    plain = core.positivity_certificate(M)
+    M = M.astype(complex)
+    plain = core.positivity_certificate(M, 1e-8)
     for _ in range(5):
-        cert = core.positivity_certificate(M, witness=random_complex(rng, n))
-        assert cert.kind == plain.kind
-        assert cert.min_eigenvalue == plain.min_eigenvalue
+        s = SimilaritySummand(S=np.eye(n, dtype=complex), P=M, value=M, condition_number=1.0,
+                              S_inv=random_complex(rng, n))
+        assert _certify(s).failure.startswith("S_inv is not S^-1 to working precision")
+        assert _similarity_check(s).passed == core.is_similar_to_positive(plain)
 
 
 def test_certificate_witness_column_scaling_is_irrelevant(rng):
+    # the certificate scales S to unit columns, so scaling the columns of S,
+    # which leaves S P S^-1 unchanged for a diagonal P, changes no verdict
     for y_scale in (1.0, 100.0, 1000.0):
         S, P, v = _lifted_summand(y_scale)
-        V = S @ np.linalg.eigh(P)[1]
-        base = core.positivity_certificate(v, 1e-8, witness=V)
+        base = _certify(make_summand(S, P)).failure == ""
+        assert base == (y_scale < 1000.0)
         for _ in range(3):
-            f = np.exp(rng.uniform(-8.0, 8.0, size=V.shape[1]))
-            cert = core.positivity_certificate(v, 1e-8, witness=V * f)
-            assert cert.kind == base.kind
-            if base.witness_condition is not None:
-                assert cert.witness_condition == pytest.approx(base.witness_condition, rel=1e-6)
-
-
-def test_certificate_rejects_witness_of_wrong_shape():
-    with pytest.raises(core.ShapeError):
-        core.positivity_certificate(np.diag([1.0, 2.0]) + np.triu(np.ones((2, 2)), 1),
-                                    witness=np.eye(3))
+            f = np.exp(rng.uniform(-8.0, 8.0, size=S.shape[1]))
+            assert (_certify(make_summand(S * f, P)).failure == "") == base
 
 
 def test_candidate_witness_condition_cap_is_1e8():
-    # unit columns at angle 2 / c apart have condition number c
+    # unit columns at angle 2 / c apart have condition number c; the inverse
+    # certificate caps cond(S) with unit columns at 1e8
     def basis(cond):
         return np.array([[1.0, np.cos(2.0 / cond)], [0.0, np.sin(2.0 / cond)]])
-    V = basis(0.99e8)
-    cert = core.positivity_certificate(V @ np.diag([1.0, 2.0]) @ np.linalg.inv(V), witness=V)
-    assert cert.kind == "similar-to-positive"
-    assert cert.witness_condition == pytest.approx(0.99e8)
+    s = make_summand(basis(0.99e8), np.diag([1.0, 2.0]))
+    assert _certify(s).failure == ""
+    assert _similarity_check(s).passed
     V = basis(1.01e8)
-    M = V @ np.diag([1.0, 2.0]) @ np.linalg.inv(V)
-    cert = core.positivity_certificate(M, witness=V)
-    assert cert.kind == "neither"
-    assert cert.diagnostics.startswith(
-        "candidate witness rejected: condition number 1.010e+08 above 1.0e+08")
+    s = make_summand(V, np.diag([1.0, 2.0]))
+    assert _certify(s).failure == (
+        "condition number 1.010e+08 of the diagonalizing basis with unit columns above 1.0e+08")
+    assert not _similarity_check(s).passed
+    # for a non-diagonal P the cap applies to S W, P = W diag(p) W*, with
+    # unit columns: here S itself has unit-column condition number near 1
+    W = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    P = np.array([[1.5, -0.5], [-0.5, 1.5]])
+    for cond, passed in ((0.99e8, True), (1.01e8, False)):
+        S = basis(cond) @ W.T
+        assert np.linalg.cond(S / np.linalg.norm(S, axis=0)) < 10.0
+        s = make_summand(S, P)
+        assert (_certify(s).failure == "") == passed
+        assert _similarity_check(s).passed == passed
+    assert _certify(s).failure.startswith("condition number 1.01")
+    # positivity_certificate takes no candidate witness
+    M = s.value
     with pytest.raises(TypeError):
-        core.positivity_certificate(M, cond_cap=1e9, witness=V)
+        core.positivity_certificate(M, cond_cap=1e9)
+    with pytest.raises(TypeError):
+        core.positivity_certificate(M, witness=V)
     with pytest.raises(TypeError):
         core.positivity_certificate(M, 1e-9, V)

@@ -15,6 +15,8 @@ from opsum.decompose import (
     DecompositionResult,
     ObstructionCertificate,
     ParameterError,
+    SimilaritySummand,
+    _certify,
     check_obstruction,
     four_summands,
     make_summand,
@@ -378,8 +380,8 @@ def test_verify_fails_non_psd_middle():
 
 
 def test_verify_fails_tampered_middle(rng):
-    # one negative diagonal entry in a middle: the candidate witness S W still
-    # diagonalizes the value, and its diagonal exposes the negative eigenvalue
+    # one negative diagonal entry in a middle: the inverse certificate needs a
+    # PSD middle, and eig of the value exposes the negative eigenvalue
     T = random_real_trace(rng, 8, trace=8.0)
     result = four_summands(T)
     bad = list(result.summands)
@@ -391,48 +393,73 @@ def test_verify_fails_tampered_middle(rng):
     assert not checks["middle-blocks-psd"].passed
     sim = checks["summands-similar-to-positive"]
     assert not sim.passed
-    assert sim.detail.startswith("summand 1: neither (candidate witness rejected: diagonal entry")
+    assert sim.detail.startswith("summand 1: neither (no inverse certificate: P is not "
+                                 "Hermitian PSD; spectrum leaves [0, inf)")
 
 
 def test_verify_fails_non_hermitian_middle_with_jordan_value():
-    # eigh reads one triangle of P, so the candidate witness S W is S itself,
-    # which comes within its condition number of diagonalizing the value J:
-    # not close enough to certify it
-    S = np.array([[1.0, 1.0], [0.0, 2.5e-8]])
-    P = np.array([[1.0, 2.5e-8], [0.0, 1.0]])
-    T, result = _hand_built(S, P)
-    assert np.allclose(T, [[1.0, 1.0], [0.0, 1.0]])
+    # S = [[1, 1], [0, t]] and P = [[1, t], [0, 1]] give the Jordan block J;
+    # S is invertible with cond(S) ~ 2 / t, but P is not Hermitian, so the
+    # inverse certificate does not apply, and eig finds no basis for J
+    for t in (2.5e-8, 1e-6, 1e-4, 1e-2):
+        S = np.array([[1.0, 1.0], [0.0, t]])
+        P = np.array([[1.0, t], [0.0, 1.0]])
+        T, result = _hand_built(S, P)
+        assert np.allclose(T, [[1.0, 1.0], [0.0, 1.0]])
+        checks = {c.name: c for c in verify_decomposition(T, result).checks}
+        assert checks["reconstruction"].passed
+        assert not checks["middle-blocks-psd"].passed
+        sim = checks["summands-similar-to-positive"]
+        assert not sim.passed
+        assert sim.detail.startswith(
+            "summand 0: neither (no inverse certificate: P is not Hermitian PSD; "
+            "no eigenvector basis with condition number below 1.0e+08")
+    # a middle within is_psd's tolerance of Hermitian PSD, behind a diagonal
+    # S, gives the Jordan-like [[1, 1e-3], [0, 1]]: the certificate needs an
+    # exactly Hermitian P
+    T, result = _hand_built(np.diag([1.0, 1e-7]), np.array([[1.0, 1e-10], [0.0, 1.0]]))
     checks = {c.name: c for c in verify_decomposition(T, result).checks}
-    assert checks["reconstruction"].passed
-    assert not checks["middle-blocks-psd"].passed
+    assert checks["middle-blocks-psd"].passed
     sim = checks["summands-similar-to-positive"]
     assert not sim.passed
     assert sim.detail.startswith(
-        "summand 0: neither (candidate witness rejected: reconstruction residual")
+        "summand 0: neither (no inverse certificate: P is not Hermitian PSD; "
+        "no eigenvector basis with condition number below 1.0e+08")
 
-@pytest.mark.parametrize("n", [16, 32, 64])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
-    # every summand is certified by its own witness S W: no eig or eigvals.
-    # The middles are diagonal, so neither their PSD tests nor the witnesses
-    # need eigh or eigvalsh, and the product-form factors pass a Cholesky
-    # screen; what is left is the 2x2 plane solves of the zero-diagonalization
-    # and one eigvalsh per certificate for its recorded min_eigenvalue
-    calls = []
-    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
+
+def _count_calls(monkeypatch, module, names, calls):
+    """Record (name, first dimension) of each call of ``module.<name>``."""
+    for name in names:
+        original = getattr(module, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
             calls.append((_name, np.shape(a)[0]))
             return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
+    # four_summands runs only the 2x2 plane solves of the zero-diagonalization
+    # and the cond(S_j) SVDs, and its spectrum statistics no op_norm SVD.
+    # Verify certifies every summand from its own S^-1 with matrix products,
+    # and decides the product form's cond(S) from norm bounds: no SVD, no
+    # eigensolve, no inverse and no solve; the product-form factors pass a
+    # Cholesky screen
+    calls = []
+    _count_calls(monkeypatch, np.linalg,
+                 ("svd", "cond", "eig", "eigvals", "eigh", "eigvalsh", "inv", "solve"), calls)
+    _count_calls(monkeypatch, opsum.decompose, ("op_norm",), calls)
+    _count_calls(monkeypatch, opsum.core, ("op_norm",), calls)
     T = random_real_trace(np.random.default_rng([n, seed]), n, n * 1.0)
     result = four_summands(T)
-    assert all(call == ("eigh", 2) for call in calls)
+    assert set(calls) == {("eigh", 2), ("cond", n)}
+    assert calls.count(("cond", n)) == 4
     calls.clear()
     report = verify_decomposition(T, result, max_spectrum_points=2, min_pairwise_gap=1e-3)
     assert report.passed
-    assert calls == [("eigvalsh", n)] * 4
+    assert calls == []
 
 
 def test_four_summands_factors_no_similarity(monkeypatch):
@@ -508,18 +535,17 @@ def test_make_summand_inverse_is_inv_bit_for_bit(rng):
 
 
 def _assert_witness_is_s(s):
-    """The candidate for a diagonal P is a copy of S; the eigh witness S W
-    holds the same columns, bit for bit, in the order eigh lists P's
-    diagonal; the candidate certifies the summand."""
-    witness = s.candidate_witness()
-    assert witness is not s.S and witness.flags.c_contiguous
-    assert witness.tobytes() == s.S.tobytes()
+    """For a diagonal P the inverse certificate's basis is S itself: the
+    eigh witness S W holds the same columns, bit for bit, in the order eigh
+    lists P's diagonal, and the spectrum read off that diagonal is
+    eigvalsh's, bit for bit; the certificate covers the summand."""
     W = np.linalg.eigh(s.P)[1]
     order = np.argmax(np.abs(W), axis=0)
     assert np.array_equal(W, np.eye(len(order))[:, order])
-    assert (s.S @ W).tobytes() == witness[:, order].tobytes()
-    cert = positivity_certificate(s.value, tol=1e-8, witness=witness)
-    assert is_similar_to_positive(cert) and cert.diagnostics == ""
+    assert (s.S @ W).tobytes() == s.S[:, order].tobytes()
+    cert = _certify(s)
+    assert cert.failure == ""
+    assert cert.spectrum.tobytes() == np.linalg.eigvalsh(s.P).tobytes()
 
 
 @pytest.mark.parametrize("n, margin", [(4, 1.0), (4, 0.1), (8, 1.0), (8, 0.1), (16, 1.0),
@@ -533,7 +559,7 @@ def test_diagonal_middle_witness_is_eigh_witness_bit_for_bit(n, margin):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 26, 33, 65])
 def test_eigh_order_matches_eigh_on_ties(n):
     # eigh lists unequal blocks of equal entries in an order no stable sort
-    # gives; the candidate keeps the order of S, which certifies as well
+    # gives; the certificate keeps the order of S, which certifies as well
     rng = np.random.default_rng(n)
     S = random_invertible(rng, n)
     for values in ([0.5], [0.7, 0.2], [0.0, 0.3, 0.1]):
@@ -551,6 +577,88 @@ def test_verify_fails_ill_conditioned_summand():
     sim = checks["summands-similar-to-positive"]
     assert not sim.passed
     assert "no eigenvector basis with condition number below 1.0e+08" in sim.detail
+
+def _with_summand(result, j, summand, pair=None):
+    """``result`` with summand j (and product pair j) replaced."""
+    summands = list(result.summands)
+    product_form = list(result.product_form)
+    summands[j] = summand
+    product_form[j] = product_form[j] if pair is None else pair
+    return dataclasses.replace(result, summands=tuple(summands), product_form=tuple(product_form))
+
+
+@pytest.mark.parametrize("defect, check", [
+    ("perturbed-inverse", "product-form"),
+    ("singular-similarity", "summands-similar-to-positive"),
+    ("non-psd-middle", "middle-blocks-psd"),
+    ("pairs-miss-target", "product-form"),
+])
+def test_verify_names_each_defect(defect, check):
+    # a four-term result at n = 16 with one defect fails the check that
+    # names it; the inverse certificate lets none of them through
+    T = random_real_trace(np.random.default_rng([16, 1]), 16, 16.0)
+    result = four_summands(T)
+    assert verify_decomposition(T, result).passed
+    # summand 0 has cond(S) 7e2, where the product form's allowance is 1e-8
+    s = result.summands[0]
+    if defect == "perturbed-inverse":
+        # S^-1 off by 1e-6 relative, and the product form built from it:
+        # the certificate refuses an S_inv that is not S^-1 to working precision
+        noise = random_complex(np.random.default_rng(5), 16)
+        bad = dataclasses.replace(s, S_inv=s.S_inv + 1e-6 * frob(s.S_inv) / frob(noise) * noise)
+        assert _certify(bad).failure.startswith("S_inv is not S^-1 to working precision")
+        broken = _with_summand(result, 0, bad, opsum.decompose._positive_product(bad))
+    elif defect == "singular-similarity":
+        S = s.S.copy()
+        S[:, 0] = 0.0
+        bad = dataclasses.replace(s, S=S)
+        assert _certify(bad).failure.startswith("S_inv is not S^-1 to working precision")
+        broken = _with_summand(result, 0, bad)
+    elif defect == "non-psd-middle":
+        P = s.P.copy()
+        P[0, 0] = -P[0, 0]
+        bad = make_summand(s.S, P)
+        assert _certify(bad).failure == "P is not Hermitian PSD"
+        broken = _with_summand(result, 0, bad)
+    else:
+        other = four_summands(random_real_trace(np.random.default_rng([16, 2]), 16, 16.0))
+        broken = dataclasses.replace(result, product_form=other.product_form)
+    report = verify_decomposition(T, broken)
+    assert not report.passed
+    failed = {c.name: c for c in report.failures()}
+    assert check in failed
+    if defect == "singular-similarity":
+        assert "S is singular" in failed[check].detail
+    if defect == "non-psd-middle":
+        assert "summands-similar-to-positive" in failed
+
+
+def test_verify_rejects_inverse_that_is_not_the_inverse():
+    # S = I carried with S_inv = W != I (||S_inv S - I||_F = 0.3 < 1): the
+    # value (S P) S_inv = [[1, 0.3], [0, 2]] and the product pair
+    # (W W*, W^-* P W^-1) agree with each other and with T, yet
+    # S P S^-1 = P misses T
+    W = np.array([[1.0, 0.3], [0.0, 1.0]])
+    P = np.diag([1.0, 2.0])
+    T = P @ W
+    s = SimilaritySummand(S=np.eye(2), P=P, value=T, condition_number=1.0, S_inv=W)
+    W_inv = np.linalg.inv(W)
+    result = DecompositionResult(
+        summands=(s,), reconstruction_residual=0.0, spectra_point_counts=(2,),
+        pairwise_spectra_gap=np.inf, product_form=((W @ W.T, W_inv.T @ P @ W_inv),),
+        method="hand-built")
+    assert _certify(s).failure.startswith("S_inv is not S^-1 to working precision")
+    report = verify_decomposition(T, result)
+    assert {c.name for c in report.failures()} == {"cached-values", "reconstruction", "product-form"}
+
+
+def test_shortcut_inverts_witness_once(monkeypatch):
+    # the eig path of the certificate has inverted the witness V already
+    calls = []
+    _count_calls(monkeypatch, np.linalg, ("inv",), calls)
+    result = two_summands([[2.0, 1.0], [0.0, 1.0]])
+    assert result.method == "shortcut"
+    assert calls == [("inv", 2)]
 
 
 # --- positive products ------------------------------------------------------

@@ -15,12 +15,18 @@ A deletion can likewise leave a private helper behind with no caller, so
 one more check fails on any private module-level function, class or
 constant that no ``Name`` or ``Attribute`` anywhere in the package reads.
 
-The last two keep the package layered: every import of a sibling module
+The next two keep the package layered: every import of a sibling module
 sits at module level, where it is seen at import time, and the module-level
 ``from .x import`` edges form no cycle.
+
+The last one keeps ``import opsum`` from loading ``scipy.optimize``, which
+no pipeline uses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +168,13 @@ def test_module_level_package_imports_are_acyclic():
 
     for module in sorted(edges):
         visit(module)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s and 20 MB to import; only
+    # core.matching_distance uses it, and imports it when called
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, opsum; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
