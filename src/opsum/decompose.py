@@ -99,33 +99,36 @@ class DeclinedError(RuntimeError):
     that has no trace obstruction; the message carries the decline reason."""
 
 
+def _times_middle(X, P):
+    """X P: a column scaling of X when P is diagonal, else a product."""
+    p = np.diagonal(P)
+    return X * p if np.count_nonzero(P) == np.count_nonzero(p) else X @ P
+
+
 @dataclass(frozen=True)
 class SimilaritySummand:
     """A summand S P S^-1 with S invertible and P positive semidefinite.
 
     ``S_inv`` is the S^-1 the summand was built with: ``inv(S)`` from
     :func:`make_summand`, the closed form from the four-summand table.
+    ``value``, not an argument, is formed once from them as (S P) S_inv.
     """
 
     S: np.ndarray
     P: np.ndarray
-    value: np.ndarray
     condition_number: float
     S_inv: np.ndarray
+    value: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _times_middle(self.S, self.P) @ self.S_inv)
 
 
 def make_summand(S, P) -> SimilaritySummand:
-    """Build a summand, caching its value, S^-1 and the similarity conditioning."""
+    """Build a summand with S^-1 = inv(S) and its similarity conditioning."""
     S = as_square_matrix(S, "S")
-    return _summand(S, as_square_matrix(P, "P"), float(np.linalg.cond(S)))
-
-
-def _summand(S, P, cond: float, S_inv: np.ndarray | None = None) -> SimilaritySummand:
-    """:func:`make_summand` with cond(S), and possibly S^-1, known; the value
-    keeps the backward-stable ``solve``, more accurate than (S P) inv(S)."""
-    value = np.linalg.solve(S.T, (S @ P).T).T   # (S P) S^-1
-    return SimilaritySummand(S=S, P=P, value=value, condition_number=cond,
-                             S_inv=np.linalg.inv(S) if S_inv is None else S_inv)
+    return SimilaritySummand(S, as_square_matrix(P, "P"), float(np.linalg.cond(S)),
+                             np.linalg.inv(S))
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,8 @@ def check_obstruction(T) -> ObstructionCertificate | None:
 
 
 def _zero_result(n: int, m: int, method: str) -> DecompositionResult:
-    zero = np.zeros((n, n), dtype=complex)
-    summands = (make_summand(np.eye(n, dtype=complex), zero),) * m
+    zero, eye = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    summands = (SimilaritySummand(eye, zero, 1.0, eye),) * m
     return _finish(zero, summands, method, {"note": "zero target"})
 
 
@@ -238,8 +241,8 @@ def to_positive_product(S, P):
     S = as_square_matrix(S, "S")
     P = as_square_matrix(P, "P")
     cond = float(np.linalg.cond(S))
-    _check_product_cond(cond)   # before solve and inv can meet a singular S
-    return _positive_product(_summand(S, P, cond))
+    _check_product_cond(cond)   # before inv can meet a singular S
+    return _positive_product(SimilaritySummand(S, P, cond, np.linalg.inv(S)))
 
 
 def _check_product_cond(cond: float):
@@ -253,17 +256,17 @@ def _positive_product(s: SimilaritySummand):
     if not is_psd(s.P):
         raise ValueError("P is not positive semidefinite")
     A = s.S @ s.S.conj().T
-    B = s.S_inv.conj().T @ s.P @ s.S_inv
+    B = _times_middle(s.S_inv.conj().T, s.P) @ s.S_inv
     return hermitian_part(A), hermitian_part(B)
 
 
 def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
     """Residual, spectrum statistics and product form of finished summands.
 
-    Each value S P S^-1 has the spectrum of its middle P, and every pipeline
-    builds P with ``np.diag``, so the statistics read each spectrum off the
-    sorted diagonal of P; the product form reuses the cached cond(S) and
-    S^-1 of every summand.
+    Each value (S P) S_inv has the spectrum of its middle P, and every
+    pipeline builds P with ``np.diag``, so the statistics read each spectrum
+    off the sorted diagonal of P; the product form reuses the cond(S) and
+    S^-1 every summand carries.
     """
     summands = tuple(summands)
     residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
@@ -294,10 +297,8 @@ def _table_summand(x, y, p: float, q: float) -> SimilaritySummand:
     eye = np.eye(x.shape[0], dtype=complex)
     S = np.block([[eye, x], [y, eye + y @ x]])
     S_inv = np.block([[eye + x @ y, -x], [-y, eye]])
-    d = np.repeat([p, q], x.shape[0])
-    return SimilaritySummand(
-        S=S, P=np.diag(d).astype(complex), value=(S * d) @ S_inv,
-        condition_number=float(np.linalg.cond(S)), S_inv=S_inv)
+    P = np.diag(np.repeat([p, q], x.shape[0])).astype(complex)
+    return SimilaritySummand(S, P, float(np.linalg.cond(S)), S_inv)
 
 
 def four_summands(T):
@@ -422,8 +423,8 @@ def _shortcut(A, m: int):
     Trace obstructions and the zero target come first.  A target similar to
     positive, V^-1 A V = diag(d), splits inside the witness basis V: into
     (d - min d) + min d for m = 2, into m equal parts (one summand,
-    repeated) otherwise; V is inverted once, by the certificate when its
-    ``eig`` path checked V.
+    repeated) otherwise; V is inverted, and cond(V) computed, once: by the
+    certificate when its ``eig`` path checked V.
     """
     cert = check_obstruction(A)
     if cert is not None:
@@ -433,8 +434,9 @@ def _shortcut(A, m: int):
     pc, V_inv = _certificate(A, DEFAULT_TOL, op_norm(A))
     if not is_similar_to_positive(pc):
         return None
-    V = pc.witness
-    V_inv = np.linalg.inv(V) if V_inv is None else V_inv
+    V, cond = pc.witness, pc.witness_condition   # the eig path took cond(V)
+    if V_inv is None:   # the PSD kind's eigh basis, whose witness_condition is nominal
+        V_inv, cond = np.linalg.inv(V), float(np.linalg.cond(V))
     d = np.maximum(np.real(V_inv @ A @ V).diagonal(), 0.0)
     if m == 2:
         middles = (d - d.min(), np.full_like(d, d.min()))
@@ -442,8 +444,7 @@ def _shortcut(A, m: int):
     else:
         middles = (d / m,)
         note = f"target already {pc.kind}; split into {m} equal parts"
-    cond = float(np.linalg.cond(V))
-    summands = [_summand(V, np.diag(p).astype(complex), cond, V_inv) for p in middles]
+    summands = [SimilaritySummand(V, np.diag(p).astype(complex), cond, V_inv) for p in middles]
     summands += summands[-1:] * (m - len(summands))
     return _finish(A, summands, "shortcut", {"note": note})
 
@@ -478,10 +479,11 @@ def _triangular(T, m: int):
         w, V = np.linalg.eig(X)
         S = R.conj().T @ V
         cond = float(np.linalg.cond(S))
-        # gate before solve and inv: eig may return an exactly singular V
+        # gate before inv: eig may return an exactly singular V
         if not cond <= DEFAULT_COND_CAP:
             return None, f"cond(S) {cond:.1e} above {DEFAULT_COND_CAP:.0e}"
-        summands.append(_summand(S, np.diag(w.real).astype(complex), cond))
+        P = np.diag(w.real).astype(complex)
+        summands.append(SimilaritySummand(S, P, cond, np.linalg.inv(S)))
     summands += summands[-1:] * (m - 2)   # for m = 3 the two halves are one summand
     result = _finish(T, summands, "constructive",
                      {"note": "triangular split of the zero-diagonal form"})
@@ -611,7 +613,7 @@ def _certify(s: SimilaritySummand) -> _SummandCertificate:
     rho = 8.0 * (n + 1) * np.finfo(float).eps * math.sqrt(n) * V_inv_frob
     p = np.diagonal(P)
     diagonal = np.count_nonzero(P) == np.count_nonzero(p)
-    SP = S * p if diagonal else S @ P
+    SP = _times_middle(S, P)
     psd = is_psd(P)
     cond_bounds, failure = (1.0, math.inf), ""
     if not resid <= rho < 0.5:   # nan included
@@ -639,7 +641,7 @@ def _certify(s: SimilaritySummand) -> _SummandCertificate:
                                            cond_bounds, psd)
             failure = (f"condition number {cond:.3e} of the diagonalizing basis with unit "
                        f"columns above {DEFAULT_COND_CAP:.1e}")
-    try:
+    try:   # backward stable: the eig of (S P) inv(S) can lose the verdict near the cap
         v, singular = np.linalg.solve(S.T, SP.T).T, ""
     except np.linalg.LinAlgError:
         v, singular = SP @ S_inv, "S is singular; "
@@ -667,7 +669,8 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Recompute every claim of a decomposition from scratch.
 
-    Nothing cached in the result is trusted.  Each summand is certified
+    Nothing cached in the result is trusted: each summand is read as S, P
+    and S_inv, never through its ``value``.  Each summand is certified
     from its own S^-1 with matrix products (:func:`_certify`), which uses
     S_inv only once S_inv S - I shows it is S^-1 to working precision, and
     its value recomputed as (S P) S_inv; one the certificate does not cover
@@ -687,16 +690,10 @@ def verify_decomposition(
                      f"{c.diagnostics}); " for i, c in enumerate(certificates)
                      if c.kind == "neither")
 
-    cache_dev = max((frob(v - s.value) / max(1.0, frob(v))
-                     for s, v in zip(result.summands, values)), default=0.0)
-    checks = [VerificationCheck(
-        "cached-values", cache_dev <= 1e-10, cache_dev, 1e-10,
-        "recomputed S P S^-1 against cached summand values")]
-
     recon = frob(sum(values) - A) / max(frob(A), 1e-300) if values else frob(A)
-    checks.append(VerificationCheck(
+    checks = [VerificationCheck(
         "reconstruction", recon <= tol, recon, tol,
-        "relative Frobenius distance between the summand total and the target"))
+        "relative Frobenius distance between the summand total and the target")]
 
     worst_min = min([0.0] + [float(np.linalg.eigvalsh(hermitian_part(s.P)).min())
                              for s, c in zip(result.summands, certificates) if not c.psd])

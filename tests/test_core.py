@@ -401,7 +401,7 @@ def test_certificate_wrong_witness_changes_nothing(subject, rng):
     M = M.astype(complex)
     plain = core.positivity_certificate(M, 1e-8)
     for _ in range(5):
-        s = SimilaritySummand(S=np.eye(n, dtype=complex), P=M, value=M, condition_number=1.0,
+        s = SimilaritySummand(S=np.eye(n, dtype=complex), P=M, condition_number=1.0,
                               S_inv=random_complex(rng, n))
         assert _certify(s).failure.startswith("S_inv is not S^-1 to working precision")
         assert _similarity_check(s).passed == core.is_similar_to_positive(plain)
