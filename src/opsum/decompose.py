@@ -260,6 +260,29 @@ def _positive_product(s: SimilaritySummand):
     return hermitian_part(A), hermitian_part(B)
 
 
+def _product_form_check(S, pair, value, cond_bounds) -> tuple[float, bool]:
+    """Verify's product-form test of one summand: ``(ratio, psd)``, passed
+    when ratio <= 1 and psd.
+
+    ratio is ||A B - value||_F / max(1, ||value||_F) over the allowance
+    max(1e-8, 100 eps cond(S)^2): forming S S* and (S^-1)* P S^-1 squares
+    the conditioning of S.  cond(S) comes from the bounds
+    lo <= cond(S) <= hi unless the deviation lies between their allowances,
+    and then from an SVD.  psd says whether A and B pass ``is_psd`` at 1e-8.
+    """
+    def allowance(cond):
+        return max(1e-8, 100.0 * np.finfo(float).eps * cond * cond)
+
+    A, B = pair
+    dev = frob(A @ B - value) / max(1.0, frob(value))
+    lo, hi = cond_bounds
+    margin = _SCREEN_MARGIN + S.shape[0] * np.finfo(float).eps * hi
+    cond = lo * max(0.0, 1.0 - margin)   # the least cond(S) the bounds allow
+    if allowance(cond) < dev <= allowance(hi * (1.0 + margin)):
+        cond = float(np.linalg.cond(S))
+    return dev / allowance(cond), is_psd(A, 1e-8) and is_psd(B, 1e-8)
+
+
 def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
     """Residual, spectrum statistics and product form of finished summands.
 
@@ -287,18 +310,45 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
 B_WEIGHTS = (0.2, 0.3, 0.5)
 
 
-def _table_summand(x, y, p: float, q: float) -> SimilaritySummand:
+def _table_summand(x, y, p: float, q: float, cond: float | None = None) -> SimilaritySummand:
     """The summand S diag(p I, q I) S^-1 with S = [[I, x], [y, I + y x]].
 
     The leading block of S and its Schur complement are both I, so
     S^-1 = [[I + x y, -x], [-y, I]] in closed form: neither the value nor
-    the product form factors S.
+    the product form factors S.  ``cond`` is cond_2(S) when the caller has
+    it in closed form (:func:`_unit_triangular_cond`,
+    :func:`_identity_row_cond`); otherwise an SVD of S gives it.
     """
     eye = np.eye(x.shape[0], dtype=complex)
     S = np.block([[eye, x], [y, eye + y @ x]])
     S_inv = np.block([[eye + x @ y, -x], [-y, eye]])
     P = np.diag(np.repeat([p, q], x.shape[0])).astype(complex)
-    return SimilaritySummand(S, P, float(np.linalg.cond(S)), S_inv)
+    return SimilaritySummand(S, P, float(np.linalg.cond(S)) if cond is None else cond, S_inv)
+
+
+def _unit_triangular_cond(x) -> float:
+    """cond_2 of [[I, x], [0, I]], and of [[I, 0], [x, I]].
+
+    Each singular value s of x gives the 2x2 block [[1, s], [0, 1]], with
+    singular values (sqrt(s^2 + 4) +- s) / 2 and determinant 1, so with
+    s = ||x||_2 the condition number is ((s + sqrt(s^2 + 4)) / 2)^2.
+    """
+    s = float(np.linalg.norm(x, 2))
+    return ((s + math.sqrt(s * s + 4.0)) / 2.0) ** 2
+
+
+def _identity_row_cond(x) -> float:
+    """cond_2 of S = [[I, x], [I, I + x]].
+
+    The unitary (1/sqrt 2) [[I, I], [I, -I]] maps S to
+    (1/sqrt 2) [[2I, W], [0, -I]] with W = I + 2x; each singular value w of
+    W gives a 2x2 block of determinant 1 whose Gram matrix has trace a / 2,
+    a = 5 + w^2.  With w = ||W||_2 the condition number is
+    (a + sqrt(a^2 - 16)) / 4.
+    """
+    w = float(np.linalg.norm(np.eye(x.shape[0]) + 2.0 * x, 2))
+    a = 5.0 + w * w
+    return (a + math.sqrt(a * a - 16.0)) / 4.0
 
 
 def four_summands(T):
@@ -313,7 +363,9 @@ def four_summands(T):
     units of delta, alpha lies in [2, 6] and the other middles are
     {1.3, 0.3}, {1.45, 0.45} and {1.75, 0.75}, so distinct summands have
     disjoint spectra with a gap of at least 0.15 delta, 1.5 times the
-    recorded margin min(1e-3, beta/10, delta/10).
+    recorded margin min(1e-3, beta/10, delta/10).  Each S_j^-1 is known in
+    closed form; so is cond(S_j) for the three similarities with a 0 or I
+    block, from one k x k 2-norm, and only (x4, y4) takes an n x n SVD.
 
     Returns
     -------
@@ -375,11 +427,15 @@ def four_summands(T):
         raise RuntimeError(
             f"internal block identity violated: {block_identity:.3e}")
 
-    # similarity pairs (x_j, y_j) of the table summands
+    # similarity pairs (x_j, y_j) of the table summands and their cond(S_j):
+    # in closed form from one k x k norm where a block is 0 or I
     zero = np.zeros((k, k), dtype=complex)
-    similarities = ((x1, zero), (zero, y2), (x3, eye), (x4, y4))
-    summands = tuple(_table_summand(x, y, p, q)
-                     for (x, y), (p, q) in zip(similarities, middles))
+    similarities = ((x1, zero, _unit_triangular_cond(x1)),
+                    (zero, y2, _unit_triangular_cond(y2)),
+                    (x3, eye, _identity_row_cond(x3)),
+                    (x4, y4, None))
+    summands = tuple(_table_summand(x, y, p, q, cond)
+                     for (x, y, cond), (p, q) in zip(similarities, middles))
     return _finish(A_full, summands, "four-term", {
         "delta": delta, "beta": beta, "trace_a1": tr_a1,
         "b_weights": B_WEIGHTS,
@@ -459,7 +515,8 @@ def _triangular(T, m: int):
     which keeps every cond(S_j) at its m = 2 value.  Returns
     ``(result, None)``, or ``(None, reason)`` when a cond(S_j) exceeds the
     diagonalizability cap (above it verify could not certify the summand),
-    the reconstruction misses :data:`CONSTRUCTIVE_TOL` or the
+    the reconstruction misses :data:`CONSTRUCTIVE_TOL`, the product form
+    fails verify's test (:func:`_product_form_check`) or the
     zero-diagonalization fails.
     """
     n = T.shape[0]
@@ -490,6 +547,12 @@ def _triangular(T, m: int):
     residual = result.reconstruction_residual
     if not residual <= CONSTRUCTIVE_TOL:
         return None, f"reconstruction {residual:.1e} above {CONSTRUCTIVE_TOL:.0e}"
+    for s, pair in zip(summands[:2], result.product_form):
+        cond = s.condition_number
+        ratio, psd = _product_form_check(s.S, pair, s.value, (cond, cond))
+        if not (ratio <= 1.0 and psd):   # nan included
+            return None, (f"product form fails verify's test: ratio {ratio:.1e}, "
+                          f"PSD factors {psd}, cond(S) {cond:.1e}")
     return result, None
 
 
@@ -511,10 +574,10 @@ def three_summands(T, config: DecompConfig | None = None):
     Order of attempts: trace certificates; equal split when the target is
     itself (similar to) PSD; the triangular split, in any dimension.  When a
     triangular similarity is too ill-conditioned (cond(S) above 1e8), the
-    reconstruction misses :data:`CONSTRUCTIVE_TOL` or the
-    zero-diagonalization fails, raises :class:`DeclinedError` (a
-    ``RuntimeError``) whose message gives the reason.  ``config`` is
-    deprecated and unread.
+    reconstruction misses :data:`CONSTRUCTIVE_TOL`, the product form fails
+    verify's test or the zero-diagonalization fails, raises
+    :class:`DeclinedError` (a ``RuntimeError``) whose message gives the
+    reason.  ``config`` is deprecated and unread.
     """
     return _best_effort(T, 3)
 
@@ -705,23 +768,12 @@ def verify_decomposition(
         "summands-similar-to-positive", not failed, 1.0 if failed else 0.0, 0.0,
         failed or "all summands certified"))
 
-    # forming S S* and (S^-1)* P S^-1 squares the conditioning of S, so the
-    # product residual is checked against a cond(S)^2-aware floor; the bounds
-    # on cond(S) decide it unless the residual lies between their allowances
-    def allowance(cond):
-        return max(1e-8, 100.0 * np.finfo(float).eps * cond * cond)
-
     prod_ratio = 0.0
     prod_psd = True
-    for s, c, (Af, Bf), v in zip(result.summands, certificates, result.product_form, values):
-        dev = frob(Af @ Bf - v) / max(1.0, frob(v))
-        lo, hi = c.cond_bounds
-        margin = _SCREEN_MARGIN + s.S.shape[0] * np.finfo(float).eps * hi
-        cond = lo * max(0.0, 1.0 - margin)   # the least cond(S) the bounds allow
-        if allowance(cond) < dev <= allowance(hi * (1.0 + margin)):
-            cond = float(np.linalg.cond(s.S))
-        prod_ratio = max(prod_ratio, dev / allowance(cond))
-        prod_psd = prod_psd and is_psd(Af, 1e-8) and is_psd(Bf, 1e-8)
+    for s, c, pair, v in zip(result.summands, certificates, result.product_form, values):
+        ratio, psd = _product_form_check(s.S, pair, v, c.cond_bounds)
+        prod_ratio = max(prod_ratio, ratio)
+        prod_psd = prod_psd and psd
     checks.append(VerificationCheck(
         "product-form", prod_ratio <= 1.0 and prod_psd, prod_ratio, 1.0,
         "A_j B_j must reproduce each summand (ratio to the cond-aware bound) "

@@ -17,7 +17,9 @@ and its zero-diagonalization:
   target's own diagonal, whose convex hull contains 0 because the trace is
   zero: each step zeroes one entry with one or two 2x2 unitary rotations
   of coordinate planes, each of O(n) cost, so the whole pass is O(n^2) and
-  needs no eigendecomposition.
+  needs no eigendecomposition: each rotation comes from scalar arithmetic
+  on the four entries of the plane's compression (its 2x2 Hermitian
+  eigenpairs in closed form), and then updates two rows and two columns.
 
 Each solver's margin is a fixed module constant: the spectral gap
 :data:`GAP_MARGIN`, the block cap :data:`BLOCK_COND_CAP`, and the zero-trace
@@ -206,45 +208,78 @@ class CommutatorSolution:
 # zero-diagonalization: find unit vectors with vanishing quadratic form
 # ---------------------------------------------------------------------------
 
-def _zero_form_vector_2x2(C: np.ndarray, tiny: float) -> np.ndarray:
-    """Unit y in C^2 with y* C y ~ 0, assuming 0 lies in the numerical range.
+def _hermitian_eig_2x2(a: float, b: complex, c: float):
+    """Eigenpairs of the Hermitian [[a, b], [conj(b), c]] in closed form.
+
+    Returns ``(m, r, u_minus, u_plus)``: the eigenvalues are m - r <= m + r,
+    and u_minus, u_plus are orthonormal eigenvectors as pairs of scalars.
+    Each is scaled from the larger of d + r and r - d, d = (a - c) / 2, so
+    no entry is formed by cancellation.
+    """
+    d = (a - c) / 2.0
+    r = math.hypot(d, abs(b))
+    if r == 0.0:
+        return (a + c) / 2.0, 0.0, (1.0, 0.0), (0.0, 1.0)
+    if d >= 0.0:
+        s = math.sqrt(2.0 * r) * math.sqrt(r + d)
+        u_plus, u_minus = ((d + r) / s, b.conjugate() / s), (-b / s, (d + r) / s)
+    else:
+        s = math.sqrt(2.0 * r) * math.sqrt(r - d)
+        u_plus, u_minus = (b / s, (r - d) / s), ((r - d) / s, -b.conjugate() / s)
+    return (a + c) / 2.0, r, u_minus, u_plus
+
+
+def _form(k11: float, k12: complex, k22: float, u, v) -> complex:
+    """u* K v for the Hermitian K = [[k11, k12], [conj(k12), k22]]."""
+    return (u[0].conjugate() * (k11 * v[0] + k12 * v[1])
+            + u[1].conjugate() * (k12.conjugate() * v[0] + k22 * v[1]))
+
+
+def _zero_form_vector(c11: complex, c12: complex, c21: complex, c22: complex,
+                      tiny: float):
+    """Unit (y0, y1) with y* C y ~ 0 for C = [[c11, c12], [c21, c22]], assuming
+    0 lies in the numerical range of C.
 
     Splits C = H + iK into Hermitian parts.  The unit vectors annihilating
     the H-form lie on a circle parameterized by a phase; on that circle the
     K-form is an exact sinusoid, so its root is available in closed form.
+    Every step is scalar arithmetic on the four entries, the 2x2 eigenpairs
+    included (:func:`_hermitian_eig_2x2`).
     """
-    H = (C + C.conj().T) / 2.0
-    K = (C - C.conj().T) / 2.0j
-    mu, U = np.linalg.eigh(H)
-    lam_minus = max(-float(mu[0]), 0.0)
-    lam_plus = max(float(mu[1]), 0.0)
+    h12 = (c12 + c21.conjugate()) / 2.0
+    k11, k12, k22 = c11.imag, (c12 - c21.conjugate()) / 2.0j, c22.imag
+    m, r, u_minus, u_plus = _hermitian_eig_2x2(c11.real, h12, c22.real)
+    lam_minus = max(r - m, 0.0)
+    lam_plus = max(m + r, 0.0)
     total = lam_plus + lam_minus
 
     if total <= tiny:
         # H ~ 0: kill the K-form across its own eigenvectors
-        nu, W = np.linalg.eigh(K)
-        span = float(nu[1] - nu[0])
+        mean, half, w_minus, w_plus = _hermitian_eig_2x2(k11, k12, k22)
+        span = 2.0 * half
         if span <= tiny:
-            return U[:, 0]
-        a = math.sqrt(max(float(nu[1]), 0.0) / span)
-        b = math.sqrt(max(-float(nu[0]), 0.0) / span)
-        return a * W[:, 0] + b * W[:, 1]
+            return u_minus
+        a = math.sqrt(max(mean + half, 0.0) / span)
+        b = math.sqrt(max(half - mean, 0.0) / span)
+        return a * w_minus[0] + b * w_plus[0], a * w_minus[1] + b * w_plus[1]
 
-    u_plus, u_minus = U[:, 1], U[:, 0]
     amp_plus = math.sqrt(lam_minus / total)   # coefficient on u_plus
     amp_minus = math.sqrt(lam_plus / total)
-    base = (amp_plus ** 2) * float(np.real(u_plus.conj() @ K @ u_plus)) \
-        + (amp_minus ** 2) * float(np.real(u_minus.conj() @ K @ u_minus))
-    kappa = complex(u_plus.conj() @ K @ u_minus)
+    base = (amp_plus ** 2) * _form(k11, k12, k22, u_plus, u_plus).real \
+        + (amp_minus ** 2) * _form(k11, k12, k22, u_minus, u_minus).real
+    kappa = _form(k11, k12, k22, u_plus, u_minus)
     R = 2.0 * amp_plus * amp_minus * abs(kappa)
-    # K-form along the circle: base + R*cos(arg(kappa) + psi); pick the root
+    # K-form along the circle: base + R*cos(arg(kappa) + psi); the root
+    # psi = arg(kappa) - acos(-base / R) gives the phase e^{i psi}
     if R <= tiny:
-        psi = 0.0
+        phase = 1.0
     else:
         c = min(1.0, max(-1.0, -base / R))
-        psi = math.atan2(kappa.imag, kappa.real) - math.acos(c)
-    y = amp_plus * np.exp(1j * psi) * u_plus + amp_minus * u_minus
-    return y / np.linalg.norm(y)
+        phase = kappa / abs(kappa) * complex(c, -math.sqrt(1.0 - c * c))
+    y0 = amp_plus * phase * u_plus[0] + amp_minus * u_minus[0]
+    y1 = amp_plus * phase * u_plus[1] + amp_minus * u_minus[1]
+    norm = math.hypot(abs(y0), abs(y1))
+    return y0 / norm, y1 / norm
 
 
 def _hull_indices(diag: np.ndarray, act: np.ndarray, i: int):
@@ -273,22 +308,26 @@ def _hull_indices(diag: np.ndarray, act: np.ndarray, i: int):
     return [i, int(others[j])], None
 
 
-def _rotate_plane(M: np.ndarray, U: np.ndarray, a: int, b: int,
+def _rotate_plane(M: np.ndarray, Ut: np.ndarray, a: int, b: int,
                   target: complex, tiny: float) -> None:
     """Rotate the (a, b) coordinate plane of M in place so that M[a, a] ~ target.
 
     The first column y of the 2x2 unitary G = [[y0, -conj(y1)], [y1, conj(y0)]]
     has y* C y ~ target on the plane's compression C, which holds whenever
     target lies in the numerical range of C.  Rows and columns a, b of M and
-    columns a, b of U change, at O(n) cost.
+    rows a, b of Ut, the transposed accumulated unitary, change, at O(n) cost.
     """
-    idx = [a, b]
-    C = M[np.ix_(idx, idx)]
-    y0, y1 = _zero_form_vector_2x2(C - target * np.eye(2), tiny)
-    G = np.array([[y0, -np.conj(y1)], [y1, np.conj(y0)]])
-    M[idx, :] = G.conj().T @ M[idx, :]
-    M[:, idx] = M[:, idx] @ G
-    U[:, idx] = U[:, idx] @ G
+    y0, y1 = _zero_form_vector(M.item(a, a) - target, M.item(a, b),
+                               M.item(b, a), M.item(b, b) - target, tiny)
+    if a < b:
+        G = np.array([[y0, -y1.conjugate()], [y1, y0.conjugate()]])
+    else:   # the same rotation with the plane's coordinates in increasing order
+        a, b = b, a
+        G = np.array([[y0.conjugate(), y1], [-y1.conjugate(), y0]])
+    plane = slice(a, b + 1, b - a)   # a view of rows or columns a and b
+    M[plane] = G.conj().T @ M[plane]
+    M[:, plane] = M[:, plane] @ G
+    Ut[plane] = G.T @ Ut[plane]
 
 
 def zero_diagonalize(T0):
@@ -310,8 +349,11 @@ def zero_diagonalize(T0):
     equal to p; then a rotation of the (i, j) plane, whose diagonal now has
     0 on its segment, makes entry i zero.  A segment needs only the second
     rotation.  Each rotation is the closed-form 2x2 solve of
-    :func:`_rotate_plane`.  Entry i is then zero and never touched again,
-    so each step costs O(n) and the whole pass O(n^2).
+    :func:`_rotate_plane`, scalar arithmetic that calls nothing in
+    ``numpy.linalg``.  Entry i is then zero and never touched again, so
+    each step costs O(n) and the whole pass O(n^2).  In the last step the
+    two entries left sum to about 0, so their moduli tie; the lower index
+    is rotated there, so the pass does not depend on how the tie rounds.
 
     Raises
     ------
@@ -332,19 +374,23 @@ def zero_diagonalize(T0):
         return np.eye(n, dtype=complex), A.copy()
 
     M = A.copy()
-    U = np.eye(n, dtype=complex)
+    Ut = np.eye(n, dtype=complex)   # U transposed, so rotations update its rows
     active = np.ones(n, dtype=bool)
     tiny = 1e-13 * norm   # plane-solve screening, relative to the matrix scale
     for _ in range(n - 1):
         act = np.flatnonzero(active)
         diag = np.diagonal(M)
-        i = int(act[np.argmax(np.abs(diag[act]))])
-        if abs(diag[i]) <= done:
+        mod = np.abs(diag[act])
+        top = int(np.argmax(mod))
+        if mod[top] <= done:
             break
+        # the last two entries sum to about 0, so their moduli tie and argmax
+        # would pick one by rounding: rotate the lower index there
+        i = int(act[0] if act.size == 2 else act[top])
         idx, p = _hull_indices(diag, act, i)
         if p is not None:
-            _rotate_plane(M, U, idx[1], idx[2], p, tiny)
-        _rotate_plane(M, U, i, idx[1], 0.0, tiny)
+            _rotate_plane(M, Ut, idx[1], idx[2], p, tiny)
+        _rotate_plane(M, Ut, i, idx[1], 0.0, tiny)
         active[i] = False
 
     worst = float(np.max(np.abs(np.diagonal(M))))
@@ -353,8 +399,7 @@ def zero_diagonalize(T0):
         raise RuntimeError(
             f"zero-diagonalization stalled: worst diagonal entry {worst:.3e} "
             f"exceeds target {diag_bound:.3e}")
-    R = U.conj().T
-    return R, M
+    return Ut.conj(), M
 
 
 def commutator_solve(T0) -> CommutatorSolution:

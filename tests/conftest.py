@@ -3,8 +3,11 @@
 Oracles deliberately take different code paths from the implementations they
 check: characteristic polynomials come from the trace recursion (not the
 eigensolver), Sylvester solutions from the dense Kronecker system, block
-inverses from plain dense inversion.
+inverses from plain dense inversion, zero-form vectors of a 2x2 matrix from
+``eigh`` of its Hermitian parts.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +47,48 @@ def sylvester_by_kron(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray
     K = np.kron(np.eye(q), A) - np.kron(B.T, np.eye(p))
     x = np.linalg.solve(K, C.flatten(order="F"))
     return x.reshape((p, q), order="F")
+
+
+def zero_form_vector_by_eigh(C: np.ndarray, tiny: float) -> np.ndarray:
+    """Unit y in C^2 with y* C y ~ 0, assuming 0 lies in the numerical range.
+
+    Splits C = H + iK into Hermitian parts and takes their eigenpairs from
+    ``eigh``.  The unit vectors annihilating the H-form lie on a circle
+    parameterized by a phase; on that circle the K-form is an exact
+    sinusoid, whose root is taken with ``atan2`` and ``acos``.
+    """
+    H = (C + C.conj().T) / 2.0
+    K = (C - C.conj().T) / 2.0j
+    mu, U = np.linalg.eigh(H)
+    lam_minus = max(-float(mu[0]), 0.0)
+    lam_plus = max(float(mu[1]), 0.0)
+    total = lam_plus + lam_minus
+
+    if total <= tiny:
+        # H ~ 0: kill the K-form across its own eigenvectors
+        nu, W = np.linalg.eigh(K)
+        span = float(nu[1] - nu[0])
+        if span <= tiny:
+            return U[:, 0]
+        a = math.sqrt(max(float(nu[1]), 0.0) / span)
+        b = math.sqrt(max(-float(nu[0]), 0.0) / span)
+        return a * W[:, 0] + b * W[:, 1]
+
+    u_plus, u_minus = U[:, 1], U[:, 0]
+    amp_plus = math.sqrt(lam_minus / total)   # coefficient on u_plus
+    amp_minus = math.sqrt(lam_plus / total)
+    base = (amp_plus ** 2) * float(np.real(u_plus.conj() @ K @ u_plus)) \
+        + (amp_minus ** 2) * float(np.real(u_minus.conj() @ K @ u_minus))
+    kappa = complex(u_plus.conj() @ K @ u_minus)
+    R = 2.0 * amp_plus * amp_minus * abs(kappa)
+    # K-form along the circle: base + R*cos(arg(kappa) + psi); pick the root
+    if R <= tiny:
+        psi = 0.0
+    else:
+        c = min(1.0, max(-1.0, -base / R))
+        psi = math.atan2(kappa.imag, kappa.real) - math.acos(c)
+    y = amp_plus * np.exp(1j * psi) * u_plus + amp_minus * u_minus
+    return y / np.linalg.norm(y)
 
 
 def superop_by_matrix_units(apply_fn, n: int) -> np.ndarray:

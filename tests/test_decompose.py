@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import warnings
 
@@ -17,6 +18,8 @@ from opsum.decompose import (
     ParameterError,
     SimilaritySummand,
     _certify,
+    _identity_row_cond,
+    _unit_triangular_cond,
     check_obstruction,
     four_summands,
     make_summand,
@@ -427,12 +430,13 @@ def _count_calls(monkeypatch, module, names, calls):
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
-    # four_summands runs only the 2x2 plane solves of the zero-diagonalization
-    # and the cond(S_j) SVDs, and its spectrum statistics no op_norm SVD.
-    # Verify certifies every summand from its own S^-1 with matrix products,
-    # and decides the product form's cond(S) from norm bounds: no SVD, no
-    # eigensolve, no inverse and no solve; the product-form factors pass a
-    # Cholesky screen
+    # four_summands runs no eigensolve: the zero-diagonalization's 2x2 plane
+    # solves are scalar arithmetic, three cond(S_j) come in closed form from
+    # a k x k 2-norm, and only the fourth, (x4, y4), takes an n x n SVD; its
+    # spectrum statistics run no op_norm SVD.  Verify certifies every summand
+    # from its own S^-1 with matrix products, and decides the product form's
+    # cond(S) from norm bounds: no SVD, no eigensolve, no inverse and no
+    # solve; the product-form factors pass a Cholesky screen
     calls = []
     _count_calls(monkeypatch, np.linalg,
                  ("svd", "cond", "eig", "eigvals", "eigh", "eigvalsh", "inv", "solve"), calls)
@@ -440,12 +444,38 @@ def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
     _count_calls(monkeypatch, opsum.core, ("op_norm",), calls)
     T = random_real_trace(np.random.default_rng([n, seed]), n, n * 1.0)
     result = four_summands(T)
-    assert set(calls) == {("eigh", 2), ("cond", n)}
-    assert calls.count(("cond", n)) == 4
+    assert calls == [("cond", n)]
     calls.clear()
     report = verify_decomposition(T, result, max_spectrum_points=2, min_pairwise_gap=1e-3)
     assert report.passed
     assert calls == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16, 33, 64])
+def test_table_condition_numbers_in_closed_form(k):
+    # rows (x, 0), (0, y) and (x, I) of the table, against the SVD, whose own
+    # error is about n eps cond; the closed forms add a few roundings
+    rng = np.random.default_rng([k, 7])
+    eye, zero = np.eye(k), np.zeros((k, k))
+    for scale in (1e-2, 1e-1, 1.0, 1e2, 1e4):
+        x = scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(k)
+        for S, cond in ((np.block([[eye, x], [zero, eye]]), _unit_triangular_cond(x)),
+                        (np.block([[eye, zero], [x, eye]]), _unit_triangular_cond(x)),
+                        (np.block([[eye, x], [eye, eye + x]]), _identity_row_cond(x))):
+            ref = np.linalg.cond(S)
+            assert abs(cond - ref) <= (2 * k + 4) * np.finfo(float).eps * ref * ref
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_four_summands_condition_numbers(n):
+    # the fourth summand keeps its SVD bit for bit; the other three agree
+    # with it to the SVD's accuracy
+    T = random_real_trace(np.random.default_rng([n, 3]), n, 1.0 * n)
+    summands = four_summands(T).summands
+    assert summands[3].condition_number == float(np.linalg.cond(summands[3].S))
+    for s in summands[:3]:
+        ref = np.linalg.cond(s.S)
+        assert abs(s.condition_number - ref) <= (n + 4) * np.finfo(float).eps * ref * ref
 
 
 def test_four_summands_factors_no_similarity(monkeypatch):
@@ -957,6 +987,26 @@ def test_zero_diagonalization_failure_declines(rng, monkeypatch):
             split(T)
         assert str(info.value) == (f"constructive {m}-summand path declined "
                                    "(zero-diagonalization failed: zero-diagonalization stalled)")
+
+
+@pytest.mark.parametrize("s", [1, 4])
+def test_triangular_declines_product_form_verify_rejects(s, monkeypatch):
+    # cond(S_j) 1e7-7e7 is under the 1e8 cap, but the product form
+    # (S S*, S^-* P S^-1) squares it and misses T; the split declines on
+    # verify's own product-form test instead of returning a result that
+    # verify then fails
+    T = random_real_trace(np.random.default_rng([64, s, 1000]), 64, 640.0)
+    for m, split in [(2, two_summands), (3, three_summands)]:
+        with pytest.raises(DeclinedError, match=(
+                rf"^constructive {m}-summand path declined \(product form fails verify's "
+                r"test: ratio \S+, PSD factors True, cond\(S\) \S+\)$")):
+            split(T)
+    monkeypatch.setattr(opsum.decompose, "_product_form_check", lambda *args: (0.0, True))
+    result, reason = opsum.decompose._triangular(T, 2)
+    monkeypatch.undo()
+    assert reason is None
+    failed = verify_decomposition(T, result, tol=1e-6).failures()
+    assert [c.name for c in failed] == ["product-form"]
 
 
 @pytest.mark.parametrize("field_name", [

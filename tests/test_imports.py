@@ -19,6 +19,9 @@ The next two keep the package layered: every import of a sibling module
 sits at module level, where it is seen at import time, and the module-level
 ``from .x import`` edges form no cycle.
 
+One more keeps library control flow off ``assert``, which ``python -O``
+strips: it fails on any ``assert`` statement in ``src/opsum``.
+
 The last one keeps ``import opsum`` from loading ``scipy.optimize``, which
 no pipeline uses.
 """
@@ -168,6 +171,13 @@ def test_module_level_package_imports_are_acyclic():
 
     for module in sorted(edges):
         visit(module)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert))
+    assert not found, f"{path.name} has assert statements, stripped under -O: {', '.join(found)}"
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -6,7 +6,7 @@ import pytest
 import opsum
 from opsum import solvers
 from opsum.core import frob, matching_distance
-from opsum.randmat import random_complex, random_psd, random_trace_zero
+from opsum.randmat import random_complex, random_psd, random_real_trace, random_trace_zero
 from opsum.solvers import (
     BlockMatrix2x2,
     NonzeroTraceError,
@@ -18,7 +18,7 @@ from opsum.solvers import (
     zero_diagonalize,
 )
 
-from conftest import random_block_system, sylvester_by_kron
+from conftest import random_block_system, sylvester_by_kron, zero_form_vector_by_eigh
 
 
 # --- block inverse ----------------------------------------------------------
@@ -243,12 +243,115 @@ def test_zero_diagonalize_at_most_two_rotations_per_step(rng, monkeypatch):
         assert 2 in per_step   # random diagonals take the triangle branch too
 
 
-def test_zero_diagonalize_makes_no_qr_call(rng, monkeypatch):
-    monkeypatch.setattr(np.linalg, "qr",
-                        lambda *args, **kwargs: pytest.fail("np.linalg.qr called"))
-    for n in (3, 16):
+def test_zero_diagonalize_makes_no_linalg_call(rng, monkeypatch):
+    # each rotation is scalar arithmetic plus three 2 x n updates: nothing in
+    # numpy.linalg runs but the one Frobenius norm of the input, its scale
+    norms = []
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if name.startswith("_") or not callable(original) or isinstance(original, type):
+            continue
+
+        def refuse(*args, _name=name, _original=original, **kwargs):
+            if _name != "norm" or len(args) > 1 or kwargs:
+                pytest.fail(f"np.linalg.{_name} called")
+            norms.append(np.shape(args[0]))
+            return _original(*args)
+        monkeypatch.setattr(np.linalg, name, refuse)
+    results = []
+    for n in (3, 16, 33):
         T0 = random_trace_zero(rng, n)
+        norms.clear()
+        results.append((T0, *zero_diagonalize(T0)))
+        assert norms == [(n, n)]
+    monkeypatch.undo()
+    for T0, R, Z in results:
+        assert_zero_diagonal(T0, R, Z)
+
+
+def _kernel(C, tiny=1e-13):
+    return np.array(solvers._zero_form_vector(*(complex(c) for c in C.ravel()), tiny))
+
+
+def _assert_zero_form(C, y):
+    assert abs(np.linalg.norm(y) - 1.0) <= 4e-16
+    assert abs(y.conj() @ C @ y) <= 1e-14 * max(1.0, frob(C))
+
+
+def _assert_matches_oracle(C, tiny=1e-13):
+    # the vector is unique up to a global phase: u_plus's phase cancels
+    # against kappa's, and u_minus's multiplies the whole vector
+    y, ref = _kernel(C, tiny), zero_form_vector_by_eigh(C, tiny)
+    _assert_zero_form(C, y)
+    phase = np.vdot(y, ref)
+    assert abs(abs(phase) - 1.0) <= 1e-14
+    assert np.max(np.abs(y * phase / abs(phase) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("C", [
+    np.array([[1.0, 0.5], [-0.5, -1.0]]),          # H diagonal, h11 > h22
+    np.array([[-1.0, 0.5], [-0.5, 1.0]]),          # H diagonal, h11 < h22
+    np.array([[2.0 + 1j, 0.3 - 0.2j], [0.7j, -2.0 - 1j]]),
+    np.array([[-3.0 + 0.1j, 1.0], [2.0 - 1j, 3.0 - 0.1j]]),
+    np.array([[0.0, 1.0 + 1j], [0.2, 0.0]]),       # h11 = h22: eigenvalues -+ r
+    np.diag([1.0 + 0.3j, -1.0 - 0.3j]),            # K commutes with H: R = 0
+    np.diag([2.0 + 1j, -1.0 - 0.5j]),              # zero off-diagonal, R = 0
+], ids=["h11>h22", "h11<h22", "generic", "generic-negative", "equal-diagonal",
+        "R=0", "zero-off-diagonal"])
+def test_zero_form_vector_matches_eigh_oracle(C):
+    _assert_matches_oracle(C.astype(complex))
+
+
+def test_zero_form_vector_random_trace_zero_matches_eigh_oracle(rng):
+    # trace(C) / 2 lies in the numerical range, so C - trace(C) / 2 has 0 in it
+    for _ in range(200):
+        C = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        C *= 10.0 ** rng.uniform(-6, 6)
+        _assert_matches_oracle(C - np.trace(C) / 2.0 * np.eye(2), 1e-13 * frob(C))
+
+
+@pytest.mark.parametrize("K", [
+    np.array([[1.0, 0.4 + 0.2j], [0.4 - 0.2j, -2.0]]),
+    np.array([[-0.5, 0.0], [0.0, 3.0]]),
+    np.array([[0.0, 2.0j], [-2.0j, 0.0]]),
+], ids=["generic", "diagonal", "zero-diagonal"])
+def test_zero_form_vector_skew_hermitian_input(K):
+    # H = 0: the vector mixes K's eigenvectors, whose phases eigh leaves
+    # open, so only the zero form and the weights on them are compared
+    C = 1j * K
+    y, ref = _kernel(C), zero_form_vector_by_eigh(C, 1e-13)
+    _assert_zero_form(C, y)
+    _, W = np.linalg.eigh(K)
+    assert np.allclose(np.abs(W.conj().T @ y), np.abs(W.conj().T @ ref), atol=1e-14)
+
+
+@pytest.mark.parametrize("C", [np.zeros((2, 2)), 1e-20 * np.eye(2), 1e-20j * np.eye(2)],
+                         ids=["zero", "tiny-hermitian", "tiny-skew"])
+def test_zero_form_vector_equal_eigenvalues(C):
+    # H ~ 0 and K ~ 0 with equal eigenvalues: any unit vector will do, and
+    # the kernel returns a unit eigenvector of H
+    y = _kernel(C.astype(complex))
+    assert abs(np.linalg.norm(y) - 1.0) <= 4e-16
+    assert abs(y.conj() @ C @ y) <= 1e-19
+
+
+def test_zero_diagonalize_last_step_rotates_the_lower_index(monkeypatch):
+    # the two entries left for the last step sum to about 0, so their moduli
+    # tie, and argmax would take this target's last plane as (2, 1) or
+    # (1, 2) by a last-bit change in T (two_summands' cond(S) 9.3e1 or 3.3e2)
+    planes = []
+    rotate = solvers._rotate_plane
+    monkeypatch.setattr(solvers, "_rotate_plane",
+                        lambda M, Ut, a, b, *args: planes.append((a, b)) or rotate(M, Ut, a, b, *args))
+    T = random_real_trace(np.random.default_rng([4, 1, 100]), 4, 4.0)
+    bumped = T.copy()
+    bumped[0, 0] = np.nextafter(T[0, 0].real, np.inf)
+    for T1 in (T, bumped):
+        T0 = T1 - np.trace(T1) / 4 * np.eye(4)   # T - cI as the triangular split forms it
+        T0 -= np.trace(T0) / 4 * np.eye(4)
+        planes.clear()
         assert_zero_diagonal(T0, *zero_diagonalize(T0))
+        assert planes[-1] == (1, 2)
 
 
 def _structured_trace_zero(rng, kind, n):
