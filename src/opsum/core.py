@@ -188,10 +188,11 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
     """Test positive semidefiniteness at a relative tolerance.
 
     True iff ``M`` is Hermitian within ``tol * ||M||`` and the smallest
-    eigenvalue of its Hermitian part is at least ``-tol * ||M||``.  Both
-    comparisons are screened in O(n^2) before any SVD runs, a diagonal
-    ``M`` has its spectrum read off the diagonal, and an exactly Hermitian
-    ``M`` that a shifted Cholesky factorization proves PSD needs no
+    eigenvalue of its Hermitian part is at least ``-tol * ||M||``.  A
+    diagonal ``M`` is decided from its diagonal in O(n) after one count of
+    its nonzero entries.  For any other ``M`` both comparisons are screened
+    in O(n^2) before any SVD runs, and an exactly Hermitian ``M`` that one
+    shifted Cholesky factorization (LAPACK ``zpotrf``) proves PSD needs no
     eigensolve (see :func:`_psd_test`); the verdict is the one the exact
     norms give.
     """
@@ -208,23 +209,26 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     """The PSD verdict of :func:`is_psd`, given ``scale = ||A||`` and ``lam_min``,
     the smallest eigenvalue of the Hermitian part, when the caller has them.
 
-    Both comparisons with ``tol * ||A||`` are screened in O(n^2) first.  The
-    defect ``||A - A*||`` lies in [F / sqrt(n), F] with F = ||A - A*||_F.
-    Without ``scale``, ``||A||`` lies in [||A||_F / sqrt(n), ||A||_F] and
-    within F / 2 of the largest eigenvalue modulus h of the Hermitian part,
-    which the spectrum for ``lam_min`` yields.  A screen decides only when
-    it clears its threshold by the relative margin ``_SCREEN_MARGIN``;
-    otherwise the exact SVDs run.
+    A diagonal ``A`` goes to :func:`_diagonal_psd_test`, which reads the
+    exact norms off the diagonal.  For any other ``A`` both comparisons with
+    ``tol * ||A||`` are screened in O(n^2) first.  The defect ``||A - A*||``
+    lies in [F / sqrt(n), F] with F = ||A - A*||_F.  Without ``scale``,
+    ``||A||`` lies in [||A||_F / sqrt(n), ||A||_F] and within F / 2 of the
+    largest eigenvalue modulus h of the Hermitian part, which the spectrum
+    for ``lam_min`` yields.  A screen decides only when it clears its
+    threshold by the relative margin ``_SCREEN_MARGIN``; otherwise the exact
+    SVDs run.
 
-    Without ``lam_min``, a diagonal ``A`` has Hermitian part diag(Re a_ii),
-    whose sorted diagonal is its spectrum (``eigvalsh`` returns the same
-    bits).  An exactly Hermitian ``A`` is first offered to
+    Without ``lam_min``, an exactly Hermitian ``A`` is first offered to
     :func:`_cholesky_clears` with the lower bound of the PSD threshold: a
     factorization proves the verdict True without an eigensolve.  A failed
     one proves nothing, and ``eigvalsh`` runs as for any other subject.
     """
     if not A.any():
         return True
+    d = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(d):
+        return _diagonal_psd_test(d, tol, scale, lam_min)
     margin = _SCREEN_MARGIN
     root_n = math.sqrt(A.shape[0])
     D = A - A.conj().T
@@ -237,13 +241,9 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     if defect / root_n > tol * hi * (1.0 + margin):
         return False
     if lam_min is None:
-        diagonal = np.diagonal(A)
-        if np.count_nonzero(A) == np.count_nonzero(diagonal):
-            w = np.sort(diagonal.real)
-        elif defect == 0.0 and _cholesky_clears(A, tol * lo * (1.0 - margin)):
+        if defect == 0.0 and _cholesky_clears(A, tol * lo * (1.0 - margin)):
             return True
-        else:
-            w = np.linalg.eigvalsh(hermitian_part(A))
+        w = np.linalg.eigvalsh(hermitian_part(A))
         lam_min = float(w[0])
         h = max(-w[0], w[-1])
         lo, hi = max(lo, h - defect / 2.0), min(hi, h + defect / 2.0)
@@ -264,9 +264,27 @@ def _psd_test(A: np.ndarray, tol: float, scale: float | None = None,
     return lam_min >= -tol * scale
 
 
+def _diagonal_psd_test(d: np.ndarray, tol: float, scale: float | None = None,
+                       lam_min: float | None = None) -> bool:
+    """:func:`_psd_test` of diag(d), from the exact norms in O(n).
+
+    ||diag(d)|| = max |d_i|, the defect ||diag(d) - diag(d)*|| is
+    2 max |Im d_i| and the Hermitian part diag(Re d) has smallest eigenvalue
+    min Re d_i; ``scale`` and ``lam_min`` stand in for the first and the
+    last when the caller has them.
+    """
+    if scale is None:
+        scale = float(np.abs(d).max())
+    if 2.0 * float(np.abs(d.imag).max()) > tol * scale:
+        return False
+    if lam_min is None:
+        lam_min = float(d.real.min())
+    return lam_min >= -tol * scale
+
+
 def _cholesky_clears(H: np.ndarray, bound: float) -> bool:
     """True if a Cholesky factorization proves lam_min(H) >= -bound, for an
-    exactly Hermitian H.
+    exactly Hermitian H, which is left unmodified.
 
     Factorizing fl(H + cI), c = bound - slack, runs to completion with a
     factor R whose R* R equals H + cI + E, where E holds the rounding of the
@@ -277,18 +295,21 @@ def _cholesky_clears(H: np.ndarray, bound: float) -> bool:
     times the complex-arithmetic constant, ``slack`` = 2 gamma
     (sum |h_ii| + n bound) covers ||E||, and R* R >= 0 gives
     lam_min(H) >= -c - ||E|| >= -bound.  When ``slack`` leaves no room the
-    factorization is not tried.
+    factorization is not tried.  LAPACK ``zpotrf`` factors the lower
+    triangle of one shifted Fortran-order copy of H in place.
     """
     n = H.shape[0]
     gamma = 8.0 * (n + 1) * np.finfo(float).eps
     slack = 2.0 * gamma * (float(np.abs(np.diagonal(H)).sum()) + n * bound)
     if not slack < bound:
         return False
-    try:
-        np.linalg.cholesky(H + (bound - slack) * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    # imported on first use: loading scipy.linalg while opsum.core loads,
+    # before the other modules, left about 1 MB more peak RSS
+    from scipy.linalg.lapack import zpotrf
+
+    C = np.array(H, dtype=complex, order="F")
+    C.flat[::n + 1] += bound - slack
+    return zpotrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 @dataclass(frozen=True)

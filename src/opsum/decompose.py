@@ -38,8 +38,11 @@ Pipelines
   :class:`DeclinedError` with the reason.
 
 Every pipeline builds its result in one place, which reads each summand's
-spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum)
-and forms its product form from the S^-1 the summand was built with.
+spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
+The product form comes as Gram factors, exactly Hermitian: for a diagonal
+P >= 0, A = S S* and B = (sqrt(P) S^-1)* (sqrt(P) S^-1), one ``zherk``
+each, from the S^-1 the summand was built with; for a four-summand table
+row, block by block from the k x k blocks of S and its closed-form S^-1.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .core import (
     _SCREEN_MARGIN,
@@ -56,6 +60,7 @@ from .core import (
     DEFAULT_TOL,
     ShapeError,
     _certificate,
+    _diagonal_psd_test,
     _psd_test,
     as_square_matrix,
     frob,
@@ -195,8 +200,15 @@ def _zero_result(n: int, m: int, method: str) -> DecompositionResult:
 
 
 def _distinct_points(values, resolution) -> int:
+    """Greedy count of points: each value further than ``resolution`` from
+    every point counted before it counts as a new point.
+
+    A repeated value never counts twice, so for sorted ``values`` (both
+    callers pass sorted spectra) walking ``np.unique(values)``, which keeps
+    their order, gives the count that walking every value gives.
+    """
     pts: list[complex] = []
-    for v in np.asarray(values, dtype=complex).ravel():
+    for v in np.unique(np.asarray(values, dtype=complex)):
         if not any(abs(v - p) <= resolution for p in pts):
             pts.append(v)
     return len(pts)
@@ -210,17 +222,17 @@ def _summand_statistics(spectra, T) -> tuple[tuple, float]:
     spectrum lie at a distance in the range this leaves."""
     F = frob(T)
     lo, res = 1e-7 * max(1.0, F / math.sqrt(T.shape[0])), 1e-7 * max(1.0, F)
-    for w in spectra:
-        u = np.unique(w)
+    points = [np.unique(w) for w in spectra]   # the distances below are those of the spectra
+    for u in points:
         d = np.abs(u[:, None] - u)
         if np.any((d >= lo * (1.0 - _SCREEN_MARGIN)) & (d <= res * (1.0 + _SCREEN_MARGIN))):
             res = 1e-7 * max(1.0, op_norm(T))
             break
-    counts = tuple(_distinct_points(w, res) for w in spectra)
+    counts = tuple(_distinct_points(u, res) for u in points)
     gap = math.inf
-    for i in range(len(spectra)):
-        for j in range(i + 1, len(spectra)):
-            d = np.abs(spectra[i][:, None] - spectra[j][None, :]).min()
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = np.abs(points[i][:, None] - points[j][None, :]).min()
             gap = min(gap, float(d))
     return counts, gap
 
@@ -251,8 +263,20 @@ def _check_product_cond(cond: float):
 
 
 def _positive_product(s: SimilaritySummand):
-    """(S S*, (S^-1)* P S^-1) of a summand, from its own S^-1."""
+    """(S S*, (S^-1)* P S^-1) of a summand, from its own S^-1.
+
+    A diagonal P >= 0 gives Gram factors, one ``zherk`` each:
+    A = S S* and B = (D S^-1)* (D S^-1) with D = sqrt(P), both exactly
+    Hermitian.  Any other P, which only :func:`to_positive_product` can
+    pass, is tested PSD and takes the dense products and their Hermitian
+    parts.
+    """
     _check_product_cond(s.condition_number)
+    p = np.diagonal(s.P)
+    if (np.count_nonzero(s.P) == np.count_nonzero(p) and not p.imag.any()
+            and np.all(p.real >= 0.0)):
+        return (_mirror(_lower_gram(s.S)),
+                _mirror(_lower_cogram(np.sqrt(p.real)[:, None] * s.S_inv)))
     if not is_psd(s.P):
         raise ValueError("P is not positive semidefinite")
     A = s.S @ s.S.conj().T
@@ -260,9 +284,56 @@ def _positive_product(s: SimilaritySummand):
     return hermitian_part(A), hermitian_part(B)
 
 
+def _is_array(b) -> bool:
+    return isinstance(b, np.ndarray)
+
+
+def _lower_gram(M, alpha=1.0):
+    """The lower triangle of alpha M M*, from one ``zherk``; zero above it.
+    A number M stands for M I, and gives the number alpha |M|^2."""
+    if not _is_array(M):
+        return alpha * abs(M) ** 2
+    # zherk on the Fortran-order view M.T forms conj(M M*) = (M M*).T
+    return zherk(alpha, M.T, trans=2).T
+
+
+def _lower_cogram(M, alpha=1.0):
+    """The lower triangle of alpha M* M, as :func:`_lower_gram`."""
+    if not _is_array(M):
+        return alpha * abs(M) ** 2
+    return zherk(alpha, M.T, trans=0).T
+
+
+def _mirror(H):
+    """H with its lower triangle mirrored above the diagonal: exactly Hermitian."""
+    np.copyto(H, H.conj().T, where=~np.tri(H.shape[0], dtype=bool))
+    return H
+
+
+def _checked_pairs(pairs, count: int, n: int):
+    """The product pairs as finite complex n x n arrays, and "" or the
+    reason they cannot be the product form of ``count`` summands."""
+    if len(pairs) != count:
+        return [], f"{len(pairs)} product pairs for {count} summands"
+    checked = []
+    for i, pair in enumerate(pairs):
+        if len(pair) != 2:
+            return [], f"pair {i} has {len(pair)} factors, not 2"
+        try:
+            A, B = (as_square_matrix(M, f"pair {i} factor") for M in pair)
+        except ValueError as err:   # ShapeError included
+            return [], str(err)
+        if A.shape != (n, n) or B.shape != (n, n):
+            return [], (f"pair {i} has factors of shape {A.shape} and {B.shape}, "
+                        f"summands {(n, n)}")
+        checked.append((A, B))
+    return checked, ""
+
+
 def _product_form_check(S, pair, value, cond_bounds) -> tuple[float, bool]:
-    """Verify's product-form test of one summand: ``(ratio, psd)``, passed
-    when ratio <= 1 and psd.
+    """Verify's product-form test of one summand, whose pair holds two
+    finite matrices of its shape: ``(ratio, psd)``, passed when ratio <= 1
+    and psd.
 
     ratio is ||A B - value||_F / max(1, ||value||_F) over the allowance
     max(1e-8, 100 eps cond(S)^2): forming S S* and (S^-1)* P S^-1 squares
@@ -283,23 +354,27 @@ def _product_form_check(S, pair, value, cond_bounds) -> tuple[float, bool]:
     return dev / allowance(cond), is_psd(A, 1e-8) and is_psd(B, 1e-8)
 
 
-def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
+def _finish(T, summands, method: str, diagnostics: dict,
+            product_form=None) -> DecompositionResult:
     """Residual, spectrum statistics and product form of finished summands.
 
     Each value (S P) S_inv has the spectrum of its middle P, and every
-    pipeline builds P with ``np.diag``, so the statistics read each spectrum
-    off the sorted diagonal of P; the product form reuses the cond(S) and
-    S^-1 every summand carries.
+    pipeline builds a diagonal P, so the statistics read each spectrum off
+    the sorted diagonal of P.  Without a ``product_form`` from the caller
+    (the four-summand table builds its own from blocks), each summand's
+    comes from :func:`_positive_product`, which reuses the cond(S) and S^-1
+    the summand carries.
     """
     summands = tuple(summands)
     residual = frob(sum(s.value for s in summands) - T) / max(frob(T), 1e-300)
     counts, gap = _summand_statistics(
         [np.sort(np.diagonal(s.P).real) for s in summands], T)
+    if product_form is None:
+        product_form = tuple(map(_positive_product, summands))
     return DecompositionResult(
         summands=summands, reconstruction_residual=float(residual),
         spectra_point_counts=counts, pairwise_spectra_gap=gap,
-        product_form=tuple(map(_positive_product, summands)),
-        method=method, diagnostics=diagnostics)
+        product_form=tuple(product_form), method=method, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +385,107 @@ def _finish(T, summands, method: str, diagnostics: dict) -> DecompositionResult:
 B_WEIGHTS = (0.2, 0.3, 0.5)
 
 
-def _table_summand(x, y, p: float, q: float, cond: float | None = None) -> SimilaritySummand:
-    """The summand S diag(p I, q I) S^-1 with S = [[I, x], [y, I + y x]].
+# A block of a table similarity is a k x k array or a number c standing for
+# c I, so the 0 and I blocks of the rows (x1, 0), (0, y2) and (x3, I) cost no
+# product.
 
-    The leading block of S and its Schur complement are both I, so
+def _bmul(a, b):
+    """The product of two blocks."""
+    if _is_array(a) and _is_array(b):
+        return a @ b
+    if not (_is_array(a) or _is_array(b)):
+        return a * b
+    c, M = (a, b) if _is_array(b) else (b, a)
+    return c * M if c else 0.0
+
+
+def _badd(a, b):
+    """The sum of two blocks."""
+    if _is_array(a) == _is_array(b):
+        return a + b
+    c, M = (a, b) if _is_array(b) else (b, a)
+    if not c:
+        return M
+    M = M.copy()
+    M.flat[::M.shape[0] + 1] += c
+    return M
+
+
+def _put(view, b):
+    """Write block b into ``view``, which holds zeros."""
+    if _is_array(b):
+        view[...] = b
+    elif b:
+        np.fill_diagonal(view, b)
+
+
+def _add_to(view, b):
+    """Add block b to ``view`` in place."""
+    if _is_array(b):
+        view += b
+    elif b:
+        view.flat[::view.shape[0] + 1] += b
+
+
+def _hermitian(h11, h21, h22, k: int) -> np.ndarray:
+    """The Hermitian [[h11, h21*], [h21, h22]], from the lower triangles of
+    h11 and h22 and the block h21."""
+    H = np.zeros((2 * k, 2 * k), dtype=complex)
+    _put(H[:k, :k], h11)
+    _put(H[k:, :k], h21)
+    _put(H[k:, k:], h22)
+    return _mirror(H)
+
+
+def _table_summand(x, y, p: float, q: float, cond: float | None = None):
+    """The summand S diag(p I, q I) S^-1 with S = [[I, x], [y, I + y x]], and
+    its product form.
+
+    x and y are blocks: k x k arrays, or 0 and 1 for a zero and an identity
+    block.  The leading block of S and its Schur complement are both I, so
     S^-1 = [[I + x y, -x], [-y, I]] in closed form: neither the value nor
-    the product form factors S.  ``cond`` is cond_2(S) when the caller has
-    it in closed form (:func:`_unit_triangular_cond`,
+    the product form factors S.  S, S^-1 and P are filled block by block in
+    place, with the entries ``np.block`` gives them (I + y x adds y x to an
+    I, and a zero block of -x or -y holds -0).  ``cond`` is cond_2(S) when
+    the caller has it in closed form (:func:`_unit_triangular_cond`,
     :func:`_identity_row_cond`); otherwise an SVD of S gives it.
+
+    The product form is a pair of Gram factors, exactly Hermitian:
+    A = S S* = L L* + R R* over the column blocks L = [I; y] and
+    R = [x; W] of S, W = I + y x, and B = p Rt* Rt + q Rb* Rb over the row
+    blocks Rt = [U, -x] and Rb = [-y, I] of S^-1, U = I + x y.  Each
+    diagonal block is one ``zherk`` per term and each off-diagonal block one
+    k x k product; a 0 or I block costs none.
     """
-    eye = np.eye(x.shape[0], dtype=complex)
-    S = np.block([[eye, x], [y, eye + y @ x]])
-    S_inv = np.block([[eye + x @ y, -x], [-y, eye]])
-    P = np.diag(np.repeat([p, q], x.shape[0])).astype(complex)
-    return SimilaritySummand(S, P, float(np.linalg.cond(S)) if cond is None else cond, S_inv)
+    k = next(b.shape[0] for b in (x, y) if _is_array(b))
+    n = 2 * k
+    S = np.zeros((n, n), dtype=complex)
+    S_inv = np.zeros((n, n), dtype=complex)
+    P = np.zeros((n, n), dtype=complex)
+    S.flat[::n + 1] = 1.0
+    S_inv.flat[::n + 1] = 1.0
+    P.flat[::n + 1] = np.repeat([p, q], k)
+    yx, xy = _bmul(y, x), _bmul(x, y)
+    _put(S[:k, k:], x)
+    _put(S[k:, :k], y)
+    _add_to(S[k:, k:], yx)
+    _add_to(S_inv[:k, :k], xy)
+    for view, b in ((S_inv[:k, k:], x), (S_inv[k:, :k], y)):
+        _put(view, b)
+        np.negative(view, out=view)
+    cond = float(np.linalg.cond(S)) if cond is None else cond
+    summand = SimilaritySummand(S, P, cond, S_inv)
+
+    _check_product_cond(cond)
+    W = S[k:, k:] if _is_array(yx) else 1.0 + yx
+    U = S_inv[:k, :k] if _is_array(xy) else 1.0 + xy
+    xh = x.conj().T if _is_array(x) else x
+    A = _hermitian(_badd(_lower_gram(x), 1.0), _badd(y, _bmul(W, xh)),
+                   _badd(_lower_gram(y), _lower_gram(W)), k)
+    B = _hermitian(_badd(_lower_cogram(U, p), _lower_cogram(y, q)),
+                   -_badd(p * _bmul(xh, U), q * y),
+                   _badd(_lower_cogram(x, p), q), k)
+    return summand, (A, B)
 
 
 def _unit_triangular_cond(x) -> float:
@@ -429,20 +591,19 @@ def four_summands(T):
 
     # similarity pairs (x_j, y_j) of the table summands and their cond(S_j):
     # in closed form from one k x k norm where a block is 0 or I
-    zero = np.zeros((k, k), dtype=complex)
-    similarities = ((x1, zero, _unit_triangular_cond(x1)),
-                    (zero, y2, _unit_triangular_cond(y2)),
-                    (x3, eye, _identity_row_cond(x3)),
+    similarities = ((x1, 0.0, _unit_triangular_cond(x1)),
+                    (0.0, y2, _unit_triangular_cond(y2)),
+                    (x3, 1.0, _identity_row_cond(x3)),
                     (x4, y4, None))
-    summands = tuple(_table_summand(x, y, p, q, cond)
-                     for (x, y, cond), (p, q) in zip(similarities, middles))
+    summands, product_form = zip(*(_table_summand(x, y, p, q, cond)
+                                   for (x, y, cond), (p, q) in zip(similarities, middles)))
     return _finish(A_full, summands, "four-term", {
         "delta": delta, "beta": beta, "trace_a1": tr_a1,
         "b_weights": B_WEIGHTS,
         "sep_margin": sep_goal,
         "block_identity_residual": float(block_identity),
         "commutator_residual": comm.residual,
-    })
+    }, product_form)
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +837,10 @@ def _certify(s: SimilaritySummand) -> _SummandCertificate:
     rho = 8.0 * (n + 1) * np.finfo(float).eps * math.sqrt(n) * V_inv_frob
     p = np.diagonal(P)
     diagonal = np.count_nonzero(P) == np.count_nonzero(p)
-    SP = _times_middle(S, P)
-    psd = is_psd(P)
+    if diagonal:   # is_psd(P) and the Hermitian test read off the diagonal
+        SP, psd, hermitian = S * p, _diagonal_psd_test(p, DEFAULT_TOL), not p.imag.any()
+    else:
+        SP, psd, hermitian = S @ P, is_psd(P), np.array_equal(P, P.conj().T)
     cond_bounds, failure = (1.0, math.inf), ""
     if not resid <= rho < 0.5:   # nan included
         failure = (f"S_inv is not S^-1 to working precision: ||S_inv S - I||_F = "
@@ -687,7 +850,7 @@ def _certify(s: SimilaritySummand) -> _SummandCertificate:
         r = V_inv_frob * e / ((1.0 - e) * norms.min())
         lo = norms.max() * (np.linalg.norm(S_inv, axis=1).max() - r)
         cond_bounds = (max(1.0, lo), frob(S) * (frob(S_inv) + r))
-        if not (psd and np.array_equal(P, P.conj().T)):
+        if not (psd and hermitian):
             failure = "P is not Hermitian PSD"
         else:
             if diagonal:
@@ -742,9 +905,11 @@ def verify_decomposition(
     recomputed, each middle block re-tested for positive semidefiniteness
     and the product form re-multiplied, its cond(S)-aware allowance decided
     from norm bounds on cond(S) unless they leave it open.  A four-summand
-    result thus takes no SVD or eigensolve.  Optional spectrum-count and gap
-    thresholds cover the four-summand contract.  Failures are report
-    entries, not exceptions.
+    result thus takes no SVD or eigensolve.  Product pairs that number
+    other than the summands, or that are not two finite matrices of the
+    target's shape, fail ``product-form`` with the reason as its detail.
+    Optional spectrum-count and gap thresholds cover the four-summand
+    contract.  Failures are report entries, not exceptions.
     """
     A = as_square_matrix(T)
     certificates = [_certify(s) for s in result.summands]
@@ -768,15 +933,15 @@ def verify_decomposition(
         "summands-similar-to-positive", not failed, 1.0 if failed else 0.0, 0.0,
         failed or "all summands certified"))
 
-    prod_ratio = 0.0
-    prod_psd = True
-    for s, c, pair, v in zip(result.summands, certificates, result.product_form, values):
+    pairs, defect = _checked_pairs(result.product_form, len(certificates), A.shape[0])
+    prod_ratio, prod_psd = (math.inf, False) if defect else (0.0, True)
+    for s, c, pair, v in zip(result.summands, certificates, pairs, values):
         ratio, psd = _product_form_check(s.S, pair, v, c.cond_bounds)
         prod_ratio = max(prod_ratio, ratio)
         prod_psd = prod_psd and psd
     checks.append(VerificationCheck(
         "product-form", prod_ratio <= 1.0 and prod_psd, prod_ratio, 1.0,
-        "A_j B_j must reproduce each summand (ratio to the cond-aware bound) "
+        defect or "A_j B_j must reproduce each summand (ratio to the cond-aware bound) "
         "with PSD factors"))
 
     counts, gap = _summand_statistics([c.spectrum for c in certificates], A)

@@ -429,10 +429,9 @@ def commutator_solve(T0) -> CommutatorSolution:
     np.fill_diagonal(gaps, 1.0)
     Yz = Z / gaps
     np.fill_diagonal(Yz, 0.0)
-    Xz = np.diag(x).astype(complex)
 
     Rinv = R.conj().T   # R is unitary
-    X = Rinv @ Xz @ R
+    X = (Rinv * x) @ R   # Rinv diag(x) R
     Y = Rinv @ Yz @ R
     residual = frob(X @ Y - Y @ X - A)
     bound = 1e-8 * scale

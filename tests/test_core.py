@@ -321,6 +321,68 @@ def test_cholesky_screen_accepts_psd_and_proves_its_bound(n):
         assert not core._cholesky_clears((M + M.conj().T) / 2.0, 1e-9)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-150, 1e200]),
+       edge=st.sampled_from(["none", "negative", "imaginary"]),
+       side=st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-8]))
+def test_is_psd_diagonal_agrees_with_exact_norms(n, seed, scale, edge, side, tol):
+    # a diagonal subject is decided from its diagonal after one count of its
+    # nonzero entries; entries mix zeros, subnormals and spread positive
+    # values, and one entry sits just inside or outside a threshold: a real
+    # part at -(1 -+ 1e-3) tol ||A||, or an imaginary part at
+    # +-(1 -+ 1e-3) tol ||A|| / 2 (the defect is 2 max |Im d_i|)
+    rng = np.random.default_rng(seed)
+    d = scale * rng.choice([0.0, 1.0], size=n) * rng.uniform(0.0, 1.0, size=n)
+    d = d.astype(complex)
+    d[rng.uniform(size=n) < 0.3] = 5e-324 * rng.choice([1.0, -1.0, 1j, -1j])
+    d[0] = scale
+    j = int(rng.integers(0, n))
+    if edge == "negative" and j:
+        d[j] = -side * tol * scale
+    elif edge == "imaginary":
+        d[j] += 1j * rng.choice([1.0, -1.0]) * side * tol * scale / 2.0
+    M = np.diag(d)
+    calls = []
+    count_nonzero = np.count_nonzero
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return count_nonzero(a, *args, **kwargs)
+    np.count_nonzero = counted
+    try:
+        verdict = core.is_psd(M, tol)
+    finally:
+        np.count_nonzero = count_nonzero
+    assert calls == [(n, n), (n,)]
+    assert verdict == _is_psd_two_svds(M, tol)
+    assert (core.positivity_certificate(M, tol).kind == "positive-semidefinite") == verdict
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_cholesky_screen_leaves_subject_unmodified(layout):
+    # one shifted Fortran-order copy is factored; the subject keeps its bits
+    # whatever its memory layout
+    rng = np.random.default_rng(7)
+    U = random_unitary(rng, 12)
+    for d0, expected in ((0.0, True), (-2e-9, False)):
+        d = rng.uniform(0.5, 1.0, 12)
+        d[0] = d0
+        H = (U * d) @ U.conj().T
+        H = (H + H.conj().T) / 2.0
+        if layout == "F":
+            H = np.asfortranarray(H)
+        elif layout == "strided":
+            big = np.zeros((24, 24), dtype=complex)
+            big[::2, ::2] = H
+            H = big[::2, ::2]
+            assert not (H.flags.c_contiguous or H.flags.f_contiguous)
+        before = H.tobytes()
+        assert core._cholesky_clears(H, 1e-9) is expected
+        assert H.tobytes() == before
+
+
 @pytest.mark.parametrize("c, expected", [(0.5, True), (0.99, True), (1.01, False), (2.0, False)])
 def test_is_psd_defect_threshold(c, expected):
     # the skew subjects land on the side of the threshold that c says

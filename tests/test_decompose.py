@@ -436,12 +436,14 @@ def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
     # spectrum statistics run no op_norm SVD.  Verify certifies every summand
     # from its own S^-1 with matrix products, and decides the product form's
     # cond(S) from norm bounds: no SVD, no eigensolve, no inverse and no
-    # solve; the product-form factors pass a Cholesky screen
+    # solve.  The product-form factors are Gram factors, exactly Hermitian
+    # with no hermitian_part, and pass a zpotrf screen, not np.linalg.cholesky
     calls = []
     _count_calls(monkeypatch, np.linalg,
-                 ("svd", "cond", "eig", "eigvals", "eigh", "eigvalsh", "inv", "solve"), calls)
-    _count_calls(monkeypatch, opsum.decompose, ("op_norm",), calls)
-    _count_calls(monkeypatch, opsum.core, ("op_norm",), calls)
+                 ("svd", "cond", "eig", "eigvals", "eigh", "eigvalsh", "inv", "solve",
+                  "cholesky"), calls)
+    _count_calls(monkeypatch, opsum.decompose, ("op_norm", "hermitian_part"), calls)
+    _count_calls(monkeypatch, opsum.core, ("op_norm", "hermitian_part"), calls)
     T = random_real_trace(np.random.default_rng([n, seed]), n, n * 1.0)
     result = four_summands(T)
     assert calls == [("cond", n)]
@@ -609,6 +611,11 @@ def _with_summand(result, j, summand, pair=None):
     ("singular-similarity", "summands-similar-to-positive"),
     ("non-psd-middle", "middle-blocks-psd"),
     ("pairs-miss-target", "product-form"),
+    ("no-pairs", "product-form"),
+    ("one-pair", "product-form"),
+    ("fifth-pair", "product-form"),
+    ("misshapen-pair", "product-form"),
+    ("non-finite-pair", "product-form"),
 ])
 def test_verify_names_each_defect(defect, check):
     # a four-term result at n = 16 with one defect fails the check that
@@ -637,9 +644,29 @@ def test_verify_names_each_defect(defect, check):
         bad = make_summand(s.S, P)
         assert _certify(bad).failure == "P is not Hermitian PSD"
         broken = _with_summand(result, 0, bad)
-    else:
+    elif defect == "pairs-miss-target":
         other = four_summands(random_real_trace(np.random.default_rng([16, 2]), 16, 16.0))
         broken = dataclasses.replace(result, product_form=other.product_form)
+    else:
+        # too few or too many pairs, or a pair that is not two finite 16 x 16
+        # matrices, fail product-form alone, with a detail that says why
+        A, B = result.product_form[0]
+        B_nan = B.copy()
+        B_nan[0, 1] = np.nan
+        pairs, detail = {
+            "no-pairs": ((), "0 product pairs for 4 summands"),
+            "one-pair": (result.product_form[:1], "1 product pairs for 4 summands"),
+            "fifth-pair": (result.product_form + result.product_form[:1],
+                           "5 product pairs for 4 summands"),
+            "misshapen-pair": (((A[:-1, :-1], B),) + result.product_form[1:],
+                               "pair 0 has factors of shape (15, 15) and (16, 16)"),
+            "non-finite-pair": (((A, B_nan),) + result.product_form[1:],
+                                "pair 0 factor contains non-finite entries"),
+        }[defect]
+        broken = dataclasses.replace(result, product_form=pairs)
+        report = verify_decomposition(T, broken)
+        assert [c.name for c in report.failures()] == ["product-form"]
+        assert report.failures()[0].detail.startswith(detail)
     report = verify_decomposition(T, broken)
     assert not report.passed
     failed = {c.name: c for c in report.failures()}
@@ -762,7 +789,101 @@ def test_builds_and_verify_run_no_solve(rng, monkeypatch):
         calls.clear()
 
 
+def _distinct_points_loop(values, resolution) -> int:
+    """The greedy count over every value, in order: the oracle for
+    :func:`opsum.decompose._distinct_points`."""
+    pts = []
+    for v in np.asarray(values, dtype=complex).ravel():
+        if not any(abs(v - p) <= resolution for p in pts):
+            pts.append(v)
+    return len(pts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-7, 1.5, 2.0, 3.0, 1j, 1 + 1j]),
+                       min_size=1, max_size=12),
+       resolution=st.sampled_from([0.0, 1e-7, 0.5, 0.75, 1.0, 2.0]))
+def test_distinct_points_matches_loop_on_sorted_spectra(values, resolution):
+    # both callers pass spectra sorted by (Re, Im): np.sort of a real
+    # diagonal, eigh, or the certificate's sorted eigenvalues
+    w = np.asarray(values, dtype=complex)
+    w = w[np.lexsort((w.imag, w.real))]
+    assert opsum.decompose._distinct_points(w, resolution) == _distinct_points_loop(w, resolution)
+    real = np.sort(w.real)
+    assert opsum.decompose._distinct_points(real, resolution) == \
+        _distinct_points_loop(real, resolution)
+
+
 # --- positive products ------------------------------------------------------
+
+def _assert_gram_factors(s, pair):
+    """The pair is exactly Hermitian, within n eps (relative, Frobenius) of
+    the dense S S* and (S^-1)* P S^-1 formed from the summand's own S^-1,
+    and passes is_psd."""
+    n = s.S.shape[0]
+    dense = (s.S @ s.S.conj().T, s.S_inv.conj().T @ s.P @ s.S_inv)
+    for M, ref in zip(pair, dense):
+        assert np.array_equal(M, M.conj().T)
+        assert frob(M - ref) <= n * np.finfo(float).eps * frob(ref)
+        assert is_psd(M)
+
+
+@pytest.mark.parametrize("split, T", _PATHS + [
+    (four_summands, random_real_trace(np.random.default_rng([n, 4, 100]), n, 1.0 * n))
+    for n in (2, 4, 8, 32, 64, 128)])
+def test_product_form_is_exactly_hermitian_gram_factors(split, T, monkeypatch):
+    # every pipeline: shortcut, triangular, zero target, and all four rows of
+    # the four-summand table; none runs hermitian_part
+    calls = []
+    _count_calls(monkeypatch, opsum.decompose, ("hermitian_part",), calls)
+    result = split(T)
+    assert calls == []
+    assert len(result.product_form) == len(result.summands)
+    for s, pair in zip(result.summands, result.product_form):
+        _assert_gram_factors(s, pair)
+
+
+def _count_zherk(monkeypatch, calls):
+    """Record (name, shape of the factor) of each ``zherk`` the product form runs."""
+    original = opsum.decompose.zherk
+
+    def counted(alpha, a, *args, **kwargs):
+        calls.append(("zherk", np.shape(a)))
+        return original(alpha, a, *args, **kwargs)
+    monkeypatch.setattr(opsum.decompose, "zherk", counted)
+
+
+def test_table_product_form_skips_zero_and_identity_blocks(monkeypatch):
+    # k x k zherk per factor: one for each of the rows (x1, 0) and (0, y2),
+    # two for (x3, I) and three for (x4, y4); a 0 or I block takes none
+    calls = []
+    _count_zherk(monkeypatch, calls)
+    T = random_real_trace(np.random.default_rng([16, 1]), 16, 16.0)
+    result = four_summands(T)
+    assert calls == [("zherk", (8, 8))] * (2 * 1 + 2 * 1 + 2 * 2 + 2 * 3)
+    for s, pair in zip(result.summands, result.product_form):
+        _assert_gram_factors(s, pair)
+
+
+def test_to_positive_product_non_diagonal_middle_keeps_dense_path(rng, monkeypatch):
+    # a non-diagonal P takes the dense products and their Hermitian parts;
+    # a diagonal P >= 0 takes two zherk
+    calls = []
+    _count_calls(monkeypatch, opsum.decompose, ("hermitian_part",), calls)
+    _count_zherk(monkeypatch, calls)
+    S, P = random_invertible(rng, 6), random_psd(rng, 6)
+    A, B = to_positive_product(S, P)
+    assert [name for name, _ in calls] == ["hermitian_part", "hermitian_part"]
+    S_inv = np.linalg.inv(S)
+    H = opsum.core.hermitian_part
+    assert A.tobytes() == H(S @ S.conj().T).tobytes()
+    assert B.tobytes() == H(S_inv.conj().T @ P @ S_inv).tobytes()
+    calls.clear()
+    p = np.diag(np.diagonal(P).real)
+    A, B = to_positive_product(S, p)
+    assert [name for name, _ in calls] == ["zherk", "zherk"]
+    _assert_gram_factors(make_summand(S, p), (A, B))
+
 
 def test_to_positive_product_identity_similarity(rng):
     P = random_psd(rng, 3)
