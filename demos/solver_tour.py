@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Tour of the three equation solvers behind the decomposition pipelines."""
+"""Tour of the Sylvester and commutator solvers."""
 
 import numpy as np
 
 from opsum import (
-    BlockMatrix2x2,
     NonzeroTraceError,
-    block_inverse,
     commutator_solve,
     sylvester_solve,
     zero_diagonalize,
@@ -14,13 +12,6 @@ from opsum import (
 
 rng = np.random.default_rng(2)
 
-print("=== block inverse via the Schur complement ===")
-M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 3 * np.eye(6)
-S = BlockMatrix2x2.from_matrix(M, 2)
-inv = block_inverse(S).assemble()
-print(f"|| M M^-1 - I || = {np.linalg.norm(M @ inv - np.eye(6)):.2e}")
-
-print()
 print("=== Sylvester equation A X - X B = C ===")
 A = 2 * np.eye(3) + 0.3 * rng.standard_normal((3, 3))
 B = 0.3 * rng.standard_normal((4, 4))

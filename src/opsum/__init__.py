@@ -1,8 +1,8 @@
 """opsum: sums of products of positive matrices at finite scale.
 
 Decompositions of complex matrices into summands similar to positive
-semidefinite matrices, zero-diagonalization, commutator, block and
-Sylvester solvers, spectra and positivity of elementary operators with PSD
+semidefinite matrices, zero-diagonalization, commutator and Sylvester
+solvers, spectra and positivity of elementary operators with PSD
 coefficients, and search experiments bounded by the trace obstruction.
 """
 
@@ -62,12 +62,9 @@ from .lab import (
     trace_to_csv,
 )
 from .solvers import (
-    BlockMatrix2x2,
     CommutatorSolution,
     NonzeroTraceError,
-    SingularBlockError,
     SpectralGapError,
-    block_inverse,
     commutator_solve,
     sylvester_solve,
     zero_diagonalize,

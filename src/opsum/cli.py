@@ -17,6 +17,7 @@ from functools import cache
 import numpy as np
 
 from . import serialize
+from .core import DEFAULT_TOL
 from .decompose import (
     DeclinedError,
     DecompositionResult,
@@ -164,14 +165,13 @@ def _cmd_decompose(args) -> int:
 def _cmd_spectrum(args) -> int:
     pairs = serialize.load_pairs(args.input)
     op = ElementaryOperator.build(pairs)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = op.spectrum(tol)
+    report = op.spectrum(args.tol)
     serialize.dump_json({
         "eigenvalues": [_complex_to_pair(z) for z in report.eigenvalues],
         "max_dist_to_rplus": report.max_dist_to_rplus,
         "is_real_nonnegative": report.is_real_nonnegative,
         "is_luders": op.is_luders,
-        "tolerance": tol,
+        "tolerance": args.tol,
     }, args.output)
     verdict = "contained in [0, inf)" if report.is_real_nonnegative else \
         f"leaves [0, inf) by {report.max_dist_to_rplus:.3e}"
@@ -202,7 +202,7 @@ def _cmd_optimize(args) -> int:
     config = OptimizationConfig(
         m=args.m, seed=args.seed,
         max_iterations=args.iterations, restarts=args.restarts,
-        target_residual=args.tol if args.tol is not None else 1e-8)
+        target_residual=args.tol)
     trace = optimize_sum_of_products(T, config)
     trace_to_csv(trace, args.output)
     summary = {
@@ -265,7 +265,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="spectrum of an elementary operator")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tol", type=_parse_tol, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("luders-demo", help="plant an eigenvalue in a block Lüders operation")
@@ -283,7 +283,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="residual history CSV; summary JSON at <output>.json")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_parse_tol, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=OptimizationConfig.target_residual)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--iterations", type=int, default=2000)
     p.set_defaults(func=_cmd_optimize)

@@ -618,20 +618,16 @@ CONSTRUCTIVE_TOL = 1e-6
 class DecompConfig:
     """Deprecated configuration of the two- and three-summand pipelines.
 
-    No pipeline reads ``allow_search_fallback``, ``search`` or ``seed``;
-    setting one away from its default issues a :class:`DeprecationWarning`.
+    No pipeline reads ``search``; setting it issues a
+    :class:`DeprecationWarning`.
     """
 
-    allow_search_fallback: bool = False
     search: object = None
-    seed: int = 0
 
     def __post_init__(self):
-        # the class attributes hold the field defaults
-        for name in ("allow_search_fallback", "search", "seed"):
-            if getattr(self, name) != getattr(DecompConfig, name):
-                warnings.warn(f"DecompConfig.{name} is deprecated and ignored; "
-                              "it will be removed", DeprecationWarning, stacklevel=3)
+        if self.search is not None:
+            warnings.warn("DecompConfig.search is deprecated and ignored; "
+                          "it will be removed", DeprecationWarning, stacklevel=3)
 
 
 def _shortcut(A, m: int):
@@ -754,15 +750,14 @@ def two_summands(T, config: DecompConfig | None = None):
     return _best_effort(T, 2)
 
 
-def sum_of_products(T, m: int, config: DecompConfig | None = None):
+def sum_of_products(T, m: int):
     """Express T as m products of PSD pairs, T = sum_j A_j B_j.
 
     m = 4 routes through :func:`four_summands` (even dimension, middles from
     its fixed table), m = 3 and m = 2 through :func:`three_summands` and
     :func:`two_summands`, which raise :class:`DeclinedError` when their
-    construction declines.  Returns
-    the list of PSD pairs or an :class:`ObstructionCertificate`.  ``config``
-    is deprecated and unread.
+    construction declines.  Returns the list of PSD pairs or an
+    :class:`ObstructionCertificate`.
     """
     if m not in (2, 3, 4):
         raise ValueError(f"summand count must be 2, 3 or 4, got {m}")
@@ -918,7 +913,7 @@ def verify_decomposition(
                      f"{c.diagnostics}); " for i, c in enumerate(certificates)
                      if c.kind == "neither")
 
-    recon = frob(sum(values) - A) / max(frob(A), 1e-300) if values else frob(A)
+    recon = frob(sum(values) - A) / max(frob(A), 1e-300)   # an empty sum is 0
     checks = [VerificationCheck(
         "reconstruction", recon <= tol, recon, tol,
         "relative Frobenius distance between the summand total and the target")]

@@ -1,10 +1,8 @@
-"""Block, Sylvester and commutator equation solvers.
+"""Sylvester and commutator equation solvers.
 
-Three solvers live here; the decomposition pipelines call only the third
+Two solvers live here; the decomposition pipelines call only the second
 and its zero-diagonalization:
 
-* :func:`block_inverse` inverts a 2x2 block matrix through the Schur
-  complement of its leading block.
 * :func:`sylvester_solve` solves A X - X B = C with LAPACK's Bartels-Stewart
   solver (Schur forms of both coefficients, then ``trsyl``) after checking
   that their spectra are disjoint (the dense vectorized solve is kept in
@@ -22,9 +20,8 @@ and its zero-diagonalization:
   eigenpairs in closed form), and then updates two rows and two columns.
 
 Each solver's margin is a fixed module constant: the spectral gap
-:data:`GAP_MARGIN`, the block cap :data:`BLOCK_COND_CAP`, and the zero-trace
-gate :data:`ZERO_TRACE_TOL` and zero-diagonal target
-:data:`ZERO_DIAGONAL_TOL` of the zero-diagonalization.
+:data:`GAP_MARGIN`, and the zero-trace gate :data:`ZERO_TRACE_TOL` and
+zero-diagonal target :data:`ZERO_DIAGONAL_TOL` of the zero-diagonalization.
 """
 
 from __future__ import annotations
@@ -38,12 +35,9 @@ import scipy.linalg
 from .core import as_square_matrix, frob
 
 __all__ = [
-    "BlockMatrix2x2",
     "CommutatorSolution",
-    "SingularBlockError",
     "SpectralGapError",
     "NonzeroTraceError",
-    "block_inverse",
     "sylvester_solve",
     "zero_diagonalize",
     "commutator_solve",
@@ -52,23 +46,10 @@ __all__ = [
 
 #: Least distance between the spectra of the two Sylvester coefficients.
 GAP_MARGIN = 1e-6
-#: Condition estimate above which a block of :func:`block_inverse` is singular.
-BLOCK_COND_CAP = 1e12
 #: Zero-trace gate of :func:`zero_diagonalize`, relative to max(1, ||T0||_F).
 ZERO_TRACE_TOL = 1e-10
 #: Zero-diagonal target of :func:`zero_diagonalize`, on the same scale.
 ZERO_DIAGONAL_TOL = 1e-10
-
-
-class SingularBlockError(ValueError):
-    """A required block (or its Schur complement) is numerically singular."""
-
-    def __init__(self, block: str, cond: float, cap: float):
-        self.block = block
-        self.cond = cond
-        super().__init__(
-            f"block '{block}' is numerically singular: condition estimate "
-            f"{cond:.3e} exceeds cap {cap:.1e}")
 
 
 class SpectralGapError(ValueError):
@@ -91,72 +72,6 @@ class NonzeroTraceError(ValueError):
             f"trace {trace:.6g} exceeds the zero-trace gate {bound:.3e}; "
             "every commutator X Y - Y X has zero trace, so a nonzero-trace "
             "matrix is not a commutator")
-
-
-@dataclass(frozen=True)
-class BlockMatrix2x2:
-    """Blocks u (k x k), x (k x m), y (m x k), z (m x m)."""
-
-    u: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        u = as_square_matrix(self.u, "u")
-        z = as_square_matrix(self.z, "z")
-        k, m = u.shape[0], z.shape[0]
-        x = np.asarray(self.x, dtype=complex)
-        y = np.asarray(self.y, dtype=complex)
-        if x.shape != (k, m):
-            raise ValueError(f"x must be {k}x{m}, got {x.shape}")
-        if y.shape != (m, k):
-            raise ValueError(f"y must be {m}x{k}, got {y.shape}")
-
-    @classmethod
-    def from_matrix(cls, M, k: int) -> "BlockMatrix2x2":
-        A = as_square_matrix(M)
-        if not 0 < k < A.shape[0]:
-            raise ValueError(f"split index {k} out of range for {A.shape[0]}")
-        return cls(A[:k, :k], A[:k, k:], A[k:, :k], A[k:, k:])
-
-    def assemble(self) -> np.ndarray:
-        return np.block([[self.u, self.x], [self.y, self.z]])
-
-
-def block_inverse(S: BlockMatrix2x2) -> BlockMatrix2x2:
-    """Invert a 2x2 block matrix via the Schur complement d = (z - y u^-1 x)^-1.
-
-    Requires the leading block u and the Schur complement to be invertible
-    (condition estimates at most :data:`BLOCK_COND_CAP`); the assembled
-    inverse is::
-
-        [[u^-1 (1 + x d y u^-1),  -u^-1 x d],
-         [-d y u^-1,               d       ]]
-
-    Raises
-    ------
-    SingularBlockError
-        If u or the Schur complement fails the condition cap; the error
-        carries the offending block's condition estimate.
-    """
-    u = np.asarray(S.u, dtype=complex)
-    cond_u = float(np.linalg.cond(u))
-    if not np.isfinite(cond_u) or cond_u > BLOCK_COND_CAP:
-        raise SingularBlockError("u", cond_u, BLOCK_COND_CAP)
-    u_inv = np.linalg.inv(u)
-    schur = S.z - S.y @ u_inv @ S.x
-    cond_d = float(np.linalg.cond(schur))
-    if not np.isfinite(cond_d) or cond_d > BLOCK_COND_CAP:
-        raise SingularBlockError("z - y u^-1 x", cond_d, BLOCK_COND_CAP)
-    d = np.linalg.inv(schur)
-    k = u.shape[0]
-    return BlockMatrix2x2(
-        u=u_inv @ (np.eye(k) + S.x @ d @ S.y @ u_inv),
-        x=-u_inv @ S.x @ d,
-        y=-d @ S.y @ u_inv,
-        z=d,
-    )
 
 
 def _spectral_gap(A: np.ndarray, B: np.ndarray):

@@ -103,12 +103,3 @@ def superop_by_matrix_units(apply_fn, n: int) -> np.ndarray:
             E[p, q] = 1.0
             M[:, q * n + p] = apply_fn(E).flatten(order="F")
     return M
-
-
-def random_block_system(rng, k: int, m: int):
-    """Well-conditioned random 2x2 block matrix of total size k + m."""
-    n = k + m
-    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    s = rng.uniform(1.0, 3.0, size=n)
-    return (U * s) @ V.conj().T

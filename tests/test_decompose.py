@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import time
 import warnings
@@ -697,6 +698,18 @@ def test_verify_rejects_inverse_that_is_not_the_inverse():
     assert {c.name for c in report.failures()} == {"reconstruction", "product-form"}
 
 
+def test_verify_measures_an_empty_sum_relative_to_the_target():
+    # no summands sum to 0, which misses any nonzero target by its whole
+    # norm (relative distance 1), however small that norm, and meets T = 0
+    result = DecompositionResult(
+        summands=(), reconstruction_residual=0.0, spectra_point_counts=(),
+        pairwise_spectra_gap=np.inf, product_form=(), method="hand-built")
+    report = verify_decomposition(1e-8 * np.eye(2), result, tol=1e-6)
+    assert [c.name for c in report.failures()] == ["reconstruction"]
+    assert report.checks[0].measured == 1.0
+    assert verify_decomposition(np.zeros((2, 2)), result, tol=1e-6).passed
+
+
 def test_shortcut_inverts_witness_once(monkeypatch):
     # the eig path of the certificate has inverted the witness V already
     calls = []
@@ -979,7 +992,7 @@ def test_three_summands_n2_constructive(rng):
     # a real 2x2 target with complex eigenvalues is not similar to positive,
     # so it takes the triangular split
     T = np.array([[1.0, 4.0], [-3.0, 1.0]])
-    result = three_summands(T, DecompConfig(allow_search_fallback=False))
+    result = three_summands(T)
     assert result.method == "constructive"
     assert result.reconstruction_residual <= 1e-8
     assert verify_decomposition(T, result, tol=1e-6).passed
@@ -987,12 +1000,11 @@ def test_three_summands_n2_constructive(rng):
 
 def test_three_summands_fallback_disabled(rng):
     # the generic complex 4x4 target takes the triangular split
-    # (allow_search_fallback=False is the default and does not warn)
     g = np.random.default_rng(0)
     T = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
     T -= 1j * (np.trace(T).imag / 4) * np.eye(4)
     T += ((3 - np.trace(T).real) / 4) * np.eye(4)
-    result = three_summands(T, DecompConfig(allow_search_fallback=False))
+    result = three_summands(T)
     assert result.method == "constructive"
     report = verify_decomposition(T, result, tol=1e-6)
     assert report.passed, report.failures()
@@ -1000,7 +1012,7 @@ def test_three_summands_fallback_disabled(rng):
     # and the decline must raise with its reason
     T = random_real_trace(rng, 16, 1.6)
     with pytest.raises(RuntimeError, match=r"cond\(S\) .* above 1e\+08"):
-        three_summands(T, DecompConfig(allow_search_fallback=False))
+        three_summands(T)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -1017,13 +1029,12 @@ def test_constructive_route_property(n, margin, kind, m, seed):
         G = g.standard_normal((n, n))
         T = G + ((margin * n - np.trace(G)) / n) * np.eye(n)
     split = two_summands if m == 2 else three_summands
-    config = DecompConfig(allow_search_fallback=False)
-    result = split(T, config)
+    result = split(T)
     assert result.method in ("shortcut", "constructive")
     assert len(result.summands) == m
     report = verify_decomposition(T, result, tol=1e-6)
     assert report.passed, report.failures()
-    again = split(T, config)
+    again = split(T)
     for s, t in zip(result.summands, again.summands):
         assert np.array_equal(s.S, t.S) and np.array_equal(s.P, t.P)
     for (a, b), (c, d) in zip(result.product_form, again.product_form):
@@ -1090,7 +1101,7 @@ def test_constructive_route_dominant_trace(split):
     g = np.random.default_rng(0)
     G = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
     T = 1e7 * np.eye(4) + G - 1j * (np.trace(G).imag / 4) * np.eye(4)
-    result = split(T, DecompConfig(allow_search_fallback=False))
+    result = split(T)
     assert result.method == "constructive"
     report = verify_decomposition(T, result, tol=1e-6)
     assert report.passed, report.failures()
@@ -1131,10 +1142,10 @@ def test_triangular_declines_product_form_verify_rejects(s, monkeypatch):
 
 
 @pytest.mark.parametrize("field_name", [
-    "sep_margin", "preprocess_cond_cap", "preprocess_retries", "constructive_tol"])
+    "sep_margin", "preprocess_cond_cap", "preprocess_retries", "constructive_tol",
+    "allow_search_fallback", "seed"])
 def test_decomp_config_removed_fields_rejected(field_name):
-    assert [f.name for f in dataclasses.fields(DecompConfig)] == [
-        "allow_search_fallback", "search", "seed"]
+    assert [f.name for f in dataclasses.fields(DecompConfig)] == ["search"]
     with pytest.raises(TypeError, match=field_name):
         DecompConfig(**{field_name: 1})
 
@@ -1143,13 +1154,12 @@ def test_decomp_config_defaults_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         DecompConfig()
-        DecompConfig(allow_search_fallback=False, search=None, seed=0)
+        DecompConfig(search=None)
 
 
 @pytest.mark.parametrize("field_name, value", [
-    ("allow_search_fallback", True),
-    ("search", OptimizationConfig(m=3, max_iterations=400, restarts=2)),
-    ("seed", 3)])
+    ("search", OptimizationConfig()),
+    ("search", OptimizationConfig(m=3, max_iterations=400, restarts=2))])
 def test_decomp_config_search_fields_deprecated(field_name, value):
     with pytest.warns(DeprecationWarning, match=rf"DecompConfig\.{field_name} is deprecated"):
         config = DecompConfig(**{field_name: value})
@@ -1200,3 +1210,9 @@ def test_sum_of_products_certificate():
 def test_sum_of_products_validates_m():
     with pytest.raises(ValueError):
         sum_of_products(np.eye(2), 5)
+
+
+def test_sum_of_products_config_removed():
+    assert list(inspect.signature(sum_of_products).parameters) == ["T", "m"]
+    with pytest.raises(TypeError):
+        sum_of_products(random_real_trace(np.random.default_rng(0), 4, trace=4.0), 4, None)

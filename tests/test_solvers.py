@@ -8,94 +8,28 @@ from opsum import solvers
 from opsum.core import frob, matching_distance
 from opsum.randmat import random_complex, random_psd, random_real_trace, random_trace_zero
 from opsum.solvers import (
-    BlockMatrix2x2,
     NonzeroTraceError,
-    SingularBlockError,
     SpectralGapError,
-    block_inverse,
     commutator_solve,
     sylvester_solve,
     zero_diagonalize,
 )
 
-from conftest import random_block_system, sylvester_by_kron, zero_form_vector_by_eigh
-
-
-# --- block inverse ----------------------------------------------------------
-
-def test_block_inverse_block_diagonal():
-    S = BlockMatrix2x2(np.array([[2.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
-                       np.array([[3.0]]))
-    inv = block_inverse(S).assemble()
-    assert np.allclose(inv, np.diag([0.5, 1 / 3.0]))
-
-
-def test_block_inverse_2x2_oracle():
-    # all-ones leading data: direct 2x2 inversion gives [[2, -1], [-1, 1]]
-    S = BlockMatrix2x2(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
-                       np.array([[2.0]]))
-    inv = block_inverse(S).assemble()
-    assert np.allclose(inv, np.array([[2.0, -1.0], [-1.0, 1.0]]), atol=1e-14)
-
-
-def test_block_inverse_matches_dense(rng):
-    M = random_block_system(rng, 4, 4)
-    S = BlockMatrix2x2.from_matrix(M, 4)
-    inv = block_inverse(S).assemble()
-    dense = np.linalg.inv(M)
-    assert frob(inv - dense) <= 1e-9 * frob(dense)
-    assert frob(M @ inv - np.eye(8)) <= 1e-9 * np.linalg.cond(M)
-
-
-def test_block_inverse_uneven_split(rng):
-    M = random_block_system(rng, 3, 5)
-    inv = block_inverse(BlockMatrix2x2.from_matrix(M, 3)).assemble()
-    assert frob(M @ inv - np.eye(8)) <= 1e-9 * np.linalg.cond(M)
-
-
-def test_block_inverse_singular_u():
-    S = BlockMatrix2x2(np.zeros((1, 1)), np.array([[1.0]]), np.array([[1.0]]),
-                       np.array([[1.0]]))
-    with pytest.raises(SingularBlockError) as err:
-        block_inverse(S)
-    assert err.value.block == "u"
-
-
-def test_block_inverse_condition_cap_is_1e12():
-    def blocks(cond):
-        return BlockMatrix2x2(np.diag([1.0, 1.0 / cond]), np.zeros((2, 1)),
-                              np.zeros((1, 2)), np.eye(1))
-    block_inverse(blocks(0.99e12))
-    with pytest.raises(SingularBlockError, match="exceeds cap 1.0e[+]12") as err:
-        block_inverse(blocks(1.01e12))
-    assert err.value.block == "u"
-    with pytest.raises(TypeError):
-        block_inverse(blocks(2.0), config=None)
+from conftest import sylvester_by_kron, zero_form_vector_by_eigh
 
 
 def test_retired_solver_settings_are_gone():
     assert not hasattr(solvers, "SolverConfig")
     assert not hasattr(solvers, "DEFAULT_SOLVER_CONFIG")
     assert not hasattr(opsum, "SolverConfig")
+    for name in ("BlockMatrix2x2", "block_inverse", "SingularBlockError"):
+        assert not hasattr(solvers, name) and not hasattr(opsum, name)
+    assert not hasattr(solvers, "BLOCK_COND_CAP")
     assert "similarity_used" not in solvers.CommutatorSolution.__dataclass_fields__
     T0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     for solve in (zero_diagonalize, commutator_solve):
         with pytest.raises(TypeError):
             solve(T0, config=None)
-
-
-def test_block_inverse_singular_schur():
-    # u = 1, x = y = 1, z = 1 makes z - y u^-1 x = 0
-    S = BlockMatrix2x2(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
-                       np.array([[1.0]]))
-    with pytest.raises(SingularBlockError) as err:
-        block_inverse(S)
-    assert "z - y" in err.value.block
-
-
-def test_block_shapes_validated():
-    with pytest.raises(ValueError):
-        BlockMatrix2x2(np.eye(2), np.ones((3, 2)), np.ones((2, 2)), np.eye(2))
 
 
 # --- sylvester --------------------------------------------------------------
