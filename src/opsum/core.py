@@ -192,8 +192,8 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
     diagonal ``M`` is decided from its diagonal in O(n) after one count of
     its nonzero entries.  For any other ``M`` both comparisons are screened
     in O(n^2) before any SVD runs, and an exactly Hermitian ``M`` that one
-    shifted Cholesky factorization (LAPACK ``zpotrf``) proves PSD needs no
-    eigensolve (see :func:`_psd_test`); the verdict is the one the exact
+    shifted Cholesky factorization (``np.linalg.cholesky``) proves PSD needs
+    no eigensolve (see :func:`_psd_test`); the verdict is the one the exact
     norms give.
     """
     return _psd_test(as_square_matrix(M), tol)
@@ -295,21 +295,22 @@ def _cholesky_clears(H: np.ndarray, bound: float) -> bool:
     times the complex-arithmetic constant, ``slack`` = 2 gamma
     (sum |h_ii| + n bound) covers ||E||, and R* R >= 0 gives
     lam_min(H) >= -c - ||E|| >= -bound.  When ``slack`` leaves no room the
-    factorization is not tried.  LAPACK ``zpotrf`` factors the lower
-    triangle of one shifted Fortran-order copy of H in place.
+    factorization is not tried.  ``np.linalg.cholesky`` factors one shifted
+    copy of H, and the ``LinAlgError`` it raises when a pivot is not
+    positive is the failed screen.
     """
     n = H.shape[0]
     gamma = 8.0 * (n + 1) * np.finfo(float).eps
     slack = 2.0 * gamma * (float(np.abs(np.diagonal(H)).sum()) + n * bound)
     if not slack < bound:
         return False
-    # imported on first use: loading scipy.linalg while opsum.core loads,
-    # before the other modules, left about 1 MB more peak RSS
-    from scipy.linalg.lapack import zpotrf
-
-    C = np.array(H, dtype=complex, order="F")
+    C = H.copy()
     C.flat[::n + 1] += bound - slack
-    return zpotrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,11 @@ Pipelines
 Every pipeline builds its result in one place, which reads each summand's
 spectrum off its Hermitian middle P (S P S^-1 and P share their spectrum).
 The product form comes as Gram factors, exactly Hermitian: for a diagonal
-P >= 0, A = S S* and B = (sqrt(P) S^-1)* (sqrt(P) S^-1), one ``zherk``
+P >= 0, A = S S* and B = (sqrt(P) S^-1)* (sqrt(P) S^-1), one numpy product
 each, from the S^-1 the summand was built with; for a four-summand table
 row, block by block from the k x k blocks of S and its closed-form S^-1.
+The module needs numpy alone: its PSD screens factor with
+``np.linalg.cholesky`` (see :func:`opsum.core.is_psd`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .core import (
     _SCREEN_MARGIN,
@@ -265,11 +266,11 @@ def _check_product_cond(cond: float):
 def _positive_product(s: SimilaritySummand):
     """(S S*, (S^-1)* P S^-1) of a summand, from its own S^-1.
 
-    A diagonal P >= 0 gives Gram factors, one ``zherk`` each:
-    A = S S* and B = (D S^-1)* (D S^-1) with D = sqrt(P), both exactly
-    Hermitian.  Any other P, which only :func:`to_positive_product` can
-    pass, is tested PSD and takes the dense products and their Hermitian
-    parts.
+    A diagonal P >= 0 gives Gram factors, one product each:
+    A = S S* and B = (D S^-1)* (D S^-1) with D = sqrt(P), both made exactly
+    Hermitian by :func:`_mirror`.  Any other P, which only
+    :func:`to_positive_product` can pass, is tested PSD and takes the dense
+    products and their Hermitian parts.
     """
     _check_product_cond(s.condition_number)
     p = np.diagonal(s.P)
@@ -289,24 +290,28 @@ def _is_array(b) -> bool:
 
 
 def _lower_gram(M, alpha=1.0):
-    """The lower triangle of alpha M M*, from one ``zherk``; zero above it.
-    A number M stands for M I, and gives the number alpha |M|^2."""
+    """alpha M M*, from one numpy product, of which :func:`_mirror` reads the
+    lower triangle.  A number M stands for M I, and gives the number
+    alpha |M|^2."""
     if not _is_array(M):
         return alpha * abs(M) ** 2
-    # zherk on the Fortran-order view M.T forms conj(M M*) = (M M*).T
-    return zherk(alpha, M.T, trans=2).T
+    return alpha * (M @ M.conj().T)
 
 
 def _lower_cogram(M, alpha=1.0):
-    """The lower triangle of alpha M* M, as :func:`_lower_gram`."""
+    """alpha M* M, as :func:`_lower_gram`."""
     if not _is_array(M):
         return alpha * abs(M) ** 2
-    return zherk(alpha, M.T, trans=0).T
+    return alpha * (M.conj().T @ M)
 
 
 def _mirror(H):
-    """H with its lower triangle mirrored above the diagonal: exactly Hermitian."""
+    """H with its lower triangle mirrored above the diagonal and the imaginary
+    part of its diagonal zeroed: exactly Hermitian, with an exactly real
+    diagonal.  (A complex product rounds the imaginary part of a Gram
+    diagonal, zero in exact arithmetic, to a few eps, not always to 0.)"""
     np.copyto(H, H.conj().T, where=~np.tri(H.shape[0], dtype=bool))
+    H.imag.flat[::H.shape[0] + 1] = 0.0
     return H
 
 
@@ -429,7 +434,7 @@ def _add_to(view, b):
 
 def _hermitian(h11, h21, h22, k: int) -> np.ndarray:
     """The Hermitian [[h11, h21*], [h21, h22]], from the lower triangles of
-    h11 and h22 and the block h21."""
+    h11 and h22 and the block h21, with an exactly real diagonal."""
     H = np.zeros((2 * k, 2 * k), dtype=complex)
     _put(H[:k, :k], h11)
     _put(H[k:, :k], h21)
@@ -454,8 +459,9 @@ def _table_summand(x, y, p: float, q: float, cond: float | None = None):
     A = S S* = L L* + R R* over the column blocks L = [I; y] and
     R = [x; W] of S, W = I + y x, and B = p Rt* Rt + q Rb* Rb over the row
     blocks Rt = [U, -x] and Rb = [-y, I] of S^-1, U = I + x y.  Each
-    diagonal block is one ``zherk`` per term and each off-diagonal block one
-    k x k product; a 0 or I block costs none.
+    diagonal block is one k x k Gram product per term (:func:`_lower_gram`,
+    :func:`_lower_cogram`) and each off-diagonal block one k x k product; a
+    0 or I block costs none.
     """
     k = next(b.shape[0] for b in (x, y) if _is_array(b))
     n = 2 * k

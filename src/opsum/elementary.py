@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc, ztrsv
-from scipy.linalg.lapack import dstemr, zgees
 
 from .core import (
     DEFAULT_TOL,
@@ -69,6 +66,18 @@ class UnattainableEigenvalueError(ValueError):
             f"lambda * I (the residual lower bound)")
 
 
+def _scipy_linalg():
+    """``scipy.linalg``, with the BLAS and LAPACK kernels this module calls.
+
+    Imported here, on first use, which :meth:`ElementaryOperator.build`
+    makes: loading scipy.linalg takes most of a cold ``import opsum``, and
+    the decomposition pipelines run on numpy alone.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _read_only(X: np.ndarray) -> np.ndarray:
     X.setflags(write=False)
     return X
@@ -108,6 +117,11 @@ class ElementaryOperator:
     coefficients are exactly Hermitian, every Lüders operation among them),
     whose largest |eigenvalue| is then ||M||, and otherwise the upper
     triangular factor T of a complex Schur form M = Z T Z*, Z not formed.
+
+    The Schur form and the pseudospectrum's triangular solves and
+    tridiagonal eigensolves are scipy's LAPACK and BLAS kernels, which the
+    first :meth:`build` imports; ``import opsum`` and the decomposition
+    pipelines load numpy alone.
     """
 
     pairs: tuple
@@ -126,6 +140,7 @@ class ElementaryOperator:
         """
         if not pairs:
             raise ValueError("coefficient list must be nonempty")
+        _scipy_linalg()   # the import, paid once, with the first operator
         validated = [(_read_only(A.copy()), _read_only(B.copy()))
                      for A, B in _square_pairs(pairs)]
         dim = validated[0][0].shape[0]
@@ -181,6 +196,7 @@ class ElementaryOperator:
     def _schur(self) -> np.ndarray:
         """T of a complex Schur form M = Z T Z* of a non-Hermitian M:
         LAPACK ``zgees`` without the Schur vectors Z, which nothing reads."""
+        zgees = _scipy_linalg().lapack.zgees
         T, _, _, _, _, info = zgees(lambda w: None, self._matrix, compute_v=0)
         if info != 0:
             raise RuntimeError(f"LAPACK zgees failed with info = {info}")
@@ -456,6 +472,9 @@ def _sigma_min_upper(R: np.ndarray, start: np.ndarray, alpha: np.ndarray, beta: 
     eigenvalue is sigma_min(R)^-2, from the unit vector ``start``; after
     len(alpha) steps ``svdvals(R)``.  ``alpha``, ``beta`` are workspace.
     """
+    linalg = _scipy_linalg()
+    blas, dstemr = linalg.blas, linalg.lapack.dstemr
+    ztrsv, zdotc, zaxpy, dznrm2 = blas.ztrsv, blas.zdotc, blas.zaxpy, blas.dznrm2
     q, q_prev, b = start, start, 0.0
     for k in range(alpha.size):
         w = ztrsv(R, ztrsv(R, q, trans=2), overwrite_x=1)
@@ -471,4 +490,4 @@ def _sigma_min_upper(R: np.ndarray, start: np.ndarray, alpha: np.ndarray, beta: 
             return float(1.0 / np.sqrt(theta[0]))
         beta[k] = b
         q_prev, q = q, w / b
-    return float(scipy.linalg.svdvals(R)[-1])
+    return float(linalg.svdvals(R)[-1])

@@ -6,7 +6,8 @@ and its zero-diagonalization:
 * :func:`sylvester_solve` solves A X - X B = C with LAPACK's Bartels-Stewart
   solver (Schur forms of both coefficients, then ``trsyl``) after checking
   that their spectra are disjoint (the dense vectorized solve is kept in
-  the test suite as an oracle only).
+  the test suite as an oracle only).  It imports ``scipy.linalg`` when
+  called, so the decomposition pipelines run on numpy alone.
 * :func:`commutator_solve` factors a trace-zero matrix as X Y - Y X.  Every
   commutator has zero trace, and conversely every trace-zero matrix is a
   commutator; the construction first conjugates the target to zero diagonal
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_square_matrix, frob
 
@@ -106,6 +106,8 @@ def sylvester_solve(A, B, C) -> np.ndarray:
     gap, la, lb = _spectral_gap(A, B)
     if gap < GAP_MARGIN:
         raise SpectralGapError(la, lb, gap, GAP_MARGIN)
+
+    import scipy.linalg   # imported when called: no pipeline solves a Sylvester equation
 
     return scipy.linalg.solve_sylvester(A, -B, C)
 

@@ -17,9 +17,10 @@ from opsum.randmat import random_psd, random_real_trace, scalar_product_pairs
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_module(*argv):
-    """Run ``python -m opsum.cli`` on this checkout's sources."""
-    env = dict(os.environ)
+def _run_module(*argv, **env_vars):
+    """Run ``python -m opsum.cli`` on this checkout's sources, with
+    ``env_vars`` added to the environment."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "opsum.cli", *argv],
@@ -47,6 +48,22 @@ def test_decompose_identity(workdir, capsys):
     assert len(doc["summands"]) == 4
     assert all(c["kind"] in ("positive-semidefinite", "similar-to-positive")
                for c in doc["certificates"])
+
+
+def test_decompose_bytes_repeat_across_processes(tmp_path):
+    # for a fixed numpy build and BLAS thread count decompose writes the same
+    # bytes in every process; from n = 128 condition_number depends on the
+    # thread count, so both runs take one thread
+    serialize.save_matrix(tmp_path / "T.json",
+                          random_real_trace(np.random.default_rng([128, 0]), 128, 128.0))
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"out{i}.json"
+        proc = _run_module("decompose", "--summands", "4", "--input", str(tmp_path / "T.json"),
+                           "--output", str(out), OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_decompose_obstruction_exit_2(workdir):

@@ -438,7 +438,7 @@ def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
     # from its own S^-1 with matrix products, and decides the product form's
     # cond(S) from norm bounds: no SVD, no eigensolve, no inverse and no
     # solve.  The product-form factors are Gram factors, exactly Hermitian
-    # with no hermitian_part, and pass a zpotrf screen, not np.linalg.cholesky
+    # with no hermitian_part, and each passes is_psd on one Cholesky screen
     calls = []
     _count_calls(monkeypatch, np.linalg,
                  ("svd", "cond", "eig", "eigvals", "eigh", "eigvalsh", "inv", "solve",
@@ -451,7 +451,7 @@ def test_four_summands_and_verify_run_no_eigensolve(n, seed, monkeypatch):
     calls.clear()
     report = verify_decomposition(T, result, max_spectrum_points=2, min_pairwise_gap=1e-3)
     assert report.passed
-    assert calls == []
+    assert calls == [("cholesky", n)] * 8
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16, 33, 64])
@@ -856,34 +856,37 @@ def test_product_form_is_exactly_hermitian_gram_factors(split, T, monkeypatch):
         _assert_gram_factors(s, pair)
 
 
-def _count_zherk(monkeypatch, calls):
-    """Record (name, shape of the factor) of each ``zherk`` the product form runs."""
-    original = opsum.decompose.zherk
+def _count_gram(monkeypatch, calls):
+    """Record (name, shape of the factor) of each Gram product the product
+    form runs; a number standing for a multiple of I takes none."""
+    for name in ("_lower_gram", "_lower_cogram"):
+        original = getattr(opsum.decompose, name)
 
-    def counted(alpha, a, *args, **kwargs):
-        calls.append(("zherk", np.shape(a)))
-        return original(alpha, a, *args, **kwargs)
-    monkeypatch.setattr(opsum.decompose, "zherk", counted)
+        def counted(M, *args, _original=original, **kwargs):
+            if isinstance(M, np.ndarray):
+                calls.append(("gram", M.shape))
+            return _original(M, *args, **kwargs)
+        monkeypatch.setattr(opsum.decompose, name, counted)
 
 
 def test_table_product_form_skips_zero_and_identity_blocks(monkeypatch):
-    # k x k zherk per factor: one for each of the rows (x1, 0) and (0, y2),
-    # two for (x3, I) and three for (x4, y4); a 0 or I block takes none
+    # k x k Gram products per factor: one for each of the rows (x1, 0) and
+    # (0, y2), two for (x3, I) and three for (x4, y4); a 0 or I block takes none
     calls = []
-    _count_zherk(monkeypatch, calls)
+    _count_gram(monkeypatch, calls)
     T = random_real_trace(np.random.default_rng([16, 1]), 16, 16.0)
     result = four_summands(T)
-    assert calls == [("zherk", (8, 8))] * (2 * 1 + 2 * 1 + 2 * 2 + 2 * 3)
+    assert calls == [("gram", (8, 8))] * (2 * 1 + 2 * 1 + 2 * 2 + 2 * 3)
     for s, pair in zip(result.summands, result.product_form):
         _assert_gram_factors(s, pair)
 
 
 def test_to_positive_product_non_diagonal_middle_keeps_dense_path(rng, monkeypatch):
     # a non-diagonal P takes the dense products and their Hermitian parts;
-    # a diagonal P >= 0 takes two zherk
+    # a diagonal P >= 0 takes two Gram products
     calls = []
     _count_calls(monkeypatch, opsum.decompose, ("hermitian_part",), calls)
-    _count_zherk(monkeypatch, calls)
+    _count_gram(monkeypatch, calls)
     S, P = random_invertible(rng, 6), random_psd(rng, 6)
     A, B = to_positive_product(S, P)
     assert [name for name, _ in calls] == ["hermitian_part", "hermitian_part"]
@@ -894,7 +897,7 @@ def test_to_positive_product_non_diagonal_middle_keeps_dense_path(rng, monkeypat
     calls.clear()
     p = np.diag(np.diagonal(P).real)
     A, B = to_positive_product(S, p)
-    assert [name for name, _ in calls] == ["zherk", "zherk"]
+    assert calls == [("gram", (6, 6)), ("gram", (6, 6))]
     _assert_gram_factors(make_summand(S, p), (A, B))
 
 

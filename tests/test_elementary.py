@@ -406,7 +406,7 @@ def test_pseudospectrum_deterministic(kind, rng):
 def _lanczos_steps(monkeypatch):
     """Record the inverse Lanczos steps of each grid point (one dstemr each)."""
     steps = []
-    dstemr, upper = elementary.dstemr, elementary._sigma_min_upper
+    dstemr, upper = scipy.linalg.lapack.dstemr, elementary._sigma_min_upper
 
     def counted_dstemr(*args, **kwargs):
         steps[-1] += 1
@@ -415,7 +415,7 @@ def _lanczos_steps(monkeypatch):
     def counted_upper(*args):
         steps.append(0)
         return upper(*args)
-    monkeypatch.setattr(elementary, "dstemr", counted_dstemr)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", counted_dstemr)
     monkeypatch.setattr(elementary, "_sigma_min_upper", counted_upper)
     return steps
 
@@ -546,7 +546,7 @@ def test_one_factorization_serves_three_calls(kind, factorization, rng, monkeypa
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         count(np.linalg, name)
     count(scipy.linalg, "schur")
-    count(elementary, "zgees", arg=1)
+    count(scipy.linalg.lapack, "zgees", arg=1)
     to_matrix = ElementaryOperator.to_matrix
     built = []
     monkeypatch.setattr(ElementaryOperator, "to_matrix",

@@ -22,14 +22,18 @@ sits at module level, where it is seen at import time, and the module-level
 One more keeps library control flow off ``assert``, which ``python -O``
 strips: it fails on any ``assert`` statement in ``src/opsum``.
 
-The last one keeps ``import opsum`` from loading ``scipy.optimize``, which
-no pipeline uses.
+The last two pin where scipy loads.  ``import opsum``, ``opsum.cli`` and
+every decomposition pipeline, the CLI's ``decompose`` included, run on
+numpy alone and load no scipy module: importing ``scipy.linalg`` takes most
+of a cold ``import opsum``.  The elementary-operator API, which calls
+scipy's LAPACK, loads ``scipy.linalg`` with its first operator.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -180,11 +184,45 @@ def test_no_assert_statements(path):
     assert not found, f"{path.name} has assert statements, stripped under -O: {', '.join(found)}"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.3 s and 20 MB to import; only
-    # core.matching_distance uses it, and imports it when called
+def _run_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import sys, opsum; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          check=True, capture_output=True, text=True, timeout=120).stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize (core.matching_distance) and scipy.linalg
+    # (solvers.sylvester_solve, the elementary operators) are imported when
+    # first called; the import and every decomposition pipeline load no scipy
+    out = _run_python(f"""
+        import sys
+        import numpy as np
+        import opsum, opsum.cli
+        from opsum import serialize
+        from opsum.randmat import random_real_trace
+
+        T = random_real_trace(np.random.default_rng(0), 4, 4.0)
+        for split in (opsum.four_summands, opsum.three_summands, opsum.two_summands):
+            assert opsum.verify_decomposition(T, split(T)).passed
+        assert len(opsum.sum_of_products(T, 4)) == 4
+        serialize.save_matrix({str(tmp_path / "T.json")!r}, T)
+        for m in ("2", "3", "4"):
+            assert opsum.cli.main(["decompose", "--summands", m,
+                                   "--input", {str(tmp_path / "T.json")!r},
+                                   "--output", {str(tmp_path / "out.json")!r}]) == 0
+        print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+        """)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_first_elementary_operator_loads_scipy_linalg():
+    out = _run_python("""
+        import sys
+        import numpy as np
+        import opsum
+
+        loaded = "scipy.linalg" in sys.modules
+        opsum.ElementaryOperator.build([(np.eye(2), np.diag([1.0, 2.0]))])
+        print(loaded, "scipy.linalg" in sys.modules)
+        """)
+    assert out.strip() == "False True"
